@@ -37,6 +37,8 @@ void GradientBoosted::fit(const Dataset& data) {
   std::vector<double> gradients(data.n_rows());
   std::vector<double> hessians(data.n_rows());
   Rng rng(config_.seed);
+  const FeatureRanks ranks(data);
+  FitState state{data, ranks, gradients, hessians};
 
   for (int round = 0; round < config_.n_rounds; ++round) {
     // Negative gradient of logloss: (y - p); hessian p(1-p).
@@ -46,15 +48,16 @@ void GradientBoosted::fit(const Dataset& data) {
       hessians[i] = std::max(p * (1.0 - p), 1e-9);
     }
 
-    // Row subsample.
-    std::vector<std::size_t> rows;
+    // Row subsample; ascending, as the rank sort requires.
+    std::vector<std::uint32_t> rows;
     rows.reserve(data.n_rows());
     for (std::size_t i = 0; i < data.n_rows(); ++i)
       if (config_.subsample >= 1.0 || rng.chance(config_.subsample))
-        rows.push_back(i);
+        rows.push_back(static_cast<std::uint32_t>(i));
     if (rows.empty()) continue;
 
-    auto tree = fit_regression_tree(data, rows, gradients, hessians);
+    RegressionTree tree;
+    build_regression_node(tree, state, rows, 0);
     // Update all scores (not just the subsample).
     for (std::size_t i = 0; i < data.n_rows(); ++i)
       score[i] += config_.learning_rate * tree.predict(data.row(i));
@@ -62,20 +65,13 @@ void GradientBoosted::fit(const Dataset& data) {
   }
 }
 
-GradientBoosted::RegressionTree GradientBoosted::fit_regression_tree(
-    const Dataset& data, const std::vector<std::size_t>& rows,
-    const std::vector<double>& gradients,
-    const std::vector<double>& hessians) const {
-  RegressionTree tree;
-  std::vector<std::size_t> working = rows;
-  build_regression_node(tree, data, working, gradients, hessians, 0);
-  return tree;
-}
-
-int GradientBoosted::build_regression_node(
-    RegressionTree& tree, const Dataset& data,
-    std::vector<std::size_t>& rows, const std::vector<double>& gradients,
-    const std::vector<double>& hessians, int depth) const {
+int GradientBoosted::build_regression_node(RegressionTree& tree,
+                                           FitState& state,
+                                           std::vector<std::uint32_t>& rows,
+                                           int depth) const {
+  const auto& data = state.data;
+  const auto& gradients = state.gradients;
+  const auto& hessians = state.hessians;
   double grad_sum = 0.0, hess_sum = 0.0;
   for (const auto i : rows) {
     grad_sum += gradients[i];
@@ -96,20 +92,19 @@ int GradientBoosted::build_regression_node(
   int best_feature = -1;
   double best_threshold = 0.0;
   double best_gain = 1e-9;
-  std::vector<std::pair<double, std::size_t>> sorted;
-  sorted.reserve(rows.size());
+  auto& sorted = state.keyed;  // (rank, row), by rank
 
   for (std::size_t f = 0; f < data.n_features(); ++f) {
     sorted.clear();
-    for (const auto i : rows) sorted.emplace_back(data.row(i)[f], i);
-    std::sort(sorted.begin(), sorted.end());
-    if (sorted.front().first == sorted.back().first) continue;
+    for (const auto i : rows) sorted.push_back({state.ranks.rank(f, i), i});
+    state.sorter.sort(sorted);
+    if (sorted.front().rank == sorted.back().rank) continue;
 
     double left_grad = 0.0, left_hess = 0.0;
     for (std::size_t k = 0; k + 1 < sorted.size(); ++k) {
-      left_grad += gradients[sorted[k].second];
-      left_hess += hessians[sorted[k].second];
-      if (sorted[k].first == sorted[k + 1].first) continue;
+      left_grad += gradients[sorted[k].row];
+      left_hess += hessians[sorted[k].row];
+      if (sorted[k].rank == sorted[k + 1].rank) continue;
       const double right_grad = grad_sum - left_grad;
       const double right_hess = hess_sum - left_hess;
       const double gain = left_grad * left_grad / (left_hess + 1.0) +
@@ -118,13 +113,14 @@ int GradientBoosted::build_regression_node(
       if (gain > best_gain) {
         best_gain = gain;
         best_feature = static_cast<int>(f);
-        best_threshold = 0.5 * (sorted[k].first + sorted[k + 1].first);
+        best_threshold = 0.5 * (state.ranks.level(f, sorted[k].rank) +
+                                state.ranks.level(f, sorted[k + 1].rank));
       }
     }
   }
   if (best_feature < 0) return node_index;
 
-  std::vector<std::size_t> left_rows, right_rows;
+  std::vector<std::uint32_t> left_rows, right_rows;
   for (const auto i : rows) {
     (data.row(i)[static_cast<std::size_t>(best_feature)] <= best_threshold
          ? left_rows
@@ -140,11 +136,10 @@ int GradientBoosted::build_regression_node(
   tree.nodes[static_cast<std::size_t>(node_index)].feature = best_feature;
   tree.nodes[static_cast<std::size_t>(node_index)].threshold =
       best_threshold;
-  const int left = build_regression_node(tree, data, left_rows, gradients,
-                                         hessians, depth + 1);
+  const int left = build_regression_node(tree, state, left_rows, depth + 1);
   tree.nodes[static_cast<std::size_t>(node_index)].left = left;
-  const int right = build_regression_node(tree, data, right_rows,
-                                          gradients, hessians, depth + 1);
+  const int right =
+      build_regression_node(tree, state, right_rows, depth + 1);
   tree.nodes[static_cast<std::size_t>(node_index)].right = right;
   return node_index;
 }

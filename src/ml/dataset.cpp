@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <limits>
 #include <numeric>
 #include <ostream>
 
@@ -64,9 +65,13 @@ std::pair<Dataset, Dataset> Dataset::stratified_split(double test_fraction,
 }
 
 Dataset Dataset::bootstrap(Rng& rng) const {
+  return subset(bootstrap_rows(rng));
+}
+
+std::vector<std::size_t> Dataset::bootstrap_rows(Rng& rng) const {
   std::vector<std::size_t> indices(n_rows());
   for (auto& idx : indices) idx = rng.below(n_rows());
-  return subset(indices);
+  return indices;
 }
 
 std::vector<std::pair<double, double>> Dataset::feature_ranges() const {
@@ -103,6 +108,50 @@ void Dataset::to_csv(std::ostream& out) const {
     for (const auto v : r) out << v << ',';
     out << class_names_[static_cast<std::size_t>(y_[i])] << '\n';
   }
+}
+
+FeatureRanks::FeatureRanks(const Dataset& data)
+    : n_rows_(data.n_rows()),
+      levels_(data.n_features()),
+      ranks_(data.n_features() * data.n_rows()) {
+  assert(n_rows_ <= std::numeric_limits<std::uint32_t>::max());
+  std::vector<std::pair<double, std::uint32_t>> sorted(n_rows_);
+  for (std::size_t f = 0; f < levels_.size(); ++f) {
+    for (std::size_t i = 0; i < n_rows_; ++i)
+      sorted[i] = {data.row(i)[f], static_cast<std::uint32_t>(i)};
+    std::sort(sorted.begin(), sorted.end());
+    auto& levels = levels_[f];
+    for (const auto& [value, row] : sorted) {
+      if (levels.empty() || levels.back() != value) levels.push_back(value);
+      ranks_[f * n_rows_ + row] =
+          static_cast<std::uint32_t>(levels.size() - 1);
+    }
+  }
+}
+
+void RankSorter::sort(std::vector<RankedRow>& keyed) {
+  if (keyed.size() < 2) return;
+  std::uint32_t lo = keyed.front().rank, hi = lo;
+  for (const auto& k : keyed) {
+    lo = std::min(lo, k.rank);
+    hi = std::max(hi, k.rank);
+  }
+  const std::size_t span = std::size_t{hi} - lo + 1;
+  if (keyed.size() < span) {
+    std::sort(keyed.begin(), keyed.end(),
+              [](const RankedRow& a, const RankedRow& b) {
+                return a.rank != b.rank ? a.rank < b.rank : a.row < b.row;
+              });
+    return;
+  }
+  // Stable counting sort: counts_[r - lo] becomes rank r's first slot.
+  counts_.assign(span, 0);
+  for (const auto& k : keyed) ++counts_[k.rank - lo];
+  std::uint32_t next = 0;
+  for (auto& c : counts_) next += std::exchange(c, next);
+  scratch_.resize(keyed.size());
+  for (const auto& k : keyed) scratch_[counts_[k.rank - lo]++] = k;
+  keyed.swap(scratch_);
 }
 
 int Classifier::predict(std::span<const double> x) const {

@@ -18,16 +18,19 @@ void RandomForest::fit(const Dataset& data) {
                 std::max(1.0, std::floor(std::sqrt(
                                   static_cast<double>(data.n_features())))));
 
+  // One rank table for every tree: each fits its bootstrap draw
+  // through a row map instead of a copied, re-ranked sample.
+  const FeatureRanks ranks(data);
   trees_.reserve(static_cast<std::size_t>(config_.n_trees));
   for (int t = 0; t < config_.n_trees; ++t) {
     Rng tree_rng = rng.fork(static_cast<std::uint64_t>(t) + 1);
-    const Dataset sample = data.bootstrap(tree_rng);
+    const auto rows = data.bootstrap_rows(tree_rng);
     TreeConfig tc;
     tc.max_depth = config_.max_depth;
     tc.min_samples_leaf = config_.min_samples_leaf;
     tc.features_per_split = mtry;
     DecisionTree tree(tc);
-    tree.fit(sample, &tree_rng);
+    tree.fit(data, ranks, rows, &tree_rng);
     trees_.push_back(std::move(tree));
   }
 }
@@ -37,7 +40,7 @@ std::vector<double> RandomForest::predict_proba(
   std::vector<double> probs(static_cast<std::size_t>(n_classes_), 0.0);
   if (trees_.empty()) return probs;
   for (const auto& tree : trees_) {
-    const auto p = tree.predict_proba(x);
+    const auto p = tree.leaf_probs(x);
     for (std::size_t c = 0; c < probs.size(); ++c) probs[c] += p[c];
   }
   for (auto& p : probs) p /= static_cast<double>(trees_.size());

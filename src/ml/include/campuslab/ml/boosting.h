@@ -57,14 +57,20 @@ class GradientBoosted final : public Classifier {
     double predict(std::span<const double> x) const;
   };
 
-  RegressionTree fit_regression_tree(
-      const Dataset& data, const std::vector<std::size_t>& rows,
-      const std::vector<double>& gradients,
-      const std::vector<double>& hessians) const;
-  int build_regression_node(
-      RegressionTree& tree, const Dataset& data,
-      std::vector<std::size_t>& rows, const std::vector<double>& gradients,
-      const std::vector<double>& hessians, int depth) const;
+  /// What the node recursion reads, ranked once per fit and reused by
+  /// every round, plus its sort buffers.
+  struct FitState {
+    const Dataset& data;
+    const FeatureRanks& ranks;
+    const std::vector<double>& gradients;
+    const std::vector<double>& hessians;
+    std::vector<RankedRow> keyed = {};
+    RankSorter sorter = {};
+  };
+
+  int build_regression_node(RegressionTree& tree, FitState& state,
+                            std::vector<std::uint32_t>& rows,
+                            int depth) const;
 
   BoostConfig config_;
   double base_score_ = 0.0;  // initial log-odds

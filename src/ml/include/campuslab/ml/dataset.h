@@ -64,6 +64,10 @@ class Dataset {
   /// Bootstrap resample of the same size (bagging). Deterministic.
   Dataset bootstrap(Rng& rng) const;
 
+  /// The row indices `bootstrap` draws, in draw order: the same rng
+  /// calls, without copying the rows.
+  std::vector<std::size_t> bootstrap_rows(Rng& rng) const;
+
   /// Per-feature observed [min, max] — the sampling box for the
   /// XAI extractor's synthetic queries.
   std::vector<std::pair<double, double>> feature_ranges() const;
@@ -81,6 +85,56 @@ class Dataset {
   std::vector<std::string> class_names_;
   std::vector<double> x_;  // row-major
   std::vector<int> y_;
+};
+
+/// A row keyed by its rank in one feature (see FeatureRanks).
+struct RankedRow {
+  std::uint32_t rank;
+  std::uint32_t row;
+};
+
+/// Per-feature rank table of a dataset: each feature's sorted distinct
+/// values (its levels) and every row's index into them. Built with one
+/// (value, row) sort per feature, so split searches can order a node's
+/// rows by rank with a counting sort instead of re-sorting values.
+class FeatureRanks {
+ public:
+  explicit FeatureRanks(const Dataset& data);
+
+  std::uint32_t rank(std::size_t feature, std::size_t row) const noexcept {
+    return ranks_[feature * n_rows_ + row];
+  }
+  double level(std::size_t feature, std::uint32_t rank) const noexcept {
+    return levels_[feature][rank];
+  }
+  /// The row's value, read back through the rank table (compares equal
+  /// to data.row(row)[feature]); a narrower read than the row-major
+  /// matrix when rows are visited out of order.
+  double value(std::size_t feature, std::size_t row) const noexcept {
+    return level(feature, rank(feature, row));
+  }
+
+ private:
+  std::size_t n_rows_;
+  std::vector<std::vector<double>> levels_;
+  std::vector<std::uint32_t> ranks_;  // feature-major
+};
+
+/// The split searches' one ordering routine. Sorts (rank, row) pairs by
+/// rank, keeping the input order among equal ranks. Node rows always
+/// arrive in ascending row order, so the result is exactly the
+/// (value, row) order of a comparison sort — and fitted trees are the
+/// same bit for bit. Counting sort over the node's rank span; std::sort
+/// when the node has fewer rows than that span. Reuses its buffers
+/// across calls.
+class RankSorter {
+ public:
+  /// Precondition: the `row` fields of `keyed` ascend.
+  void sort(std::vector<RankedRow>& keyed);
+
+ private:
+  std::vector<RankedRow> scratch_;
+  std::vector<std::uint32_t> counts_;
 };
 
 /// Interface every CampusLab model implements; the XAI extractor and

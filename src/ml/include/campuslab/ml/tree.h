@@ -51,8 +51,20 @@ class DecisionTree final : public Classifier {
   void fit(const Dataset& data, Rng* rng = nullptr,
            std::span<const double> sample_weights = {});
 
+  /// Fit on the rows `rows` of `data` (repeats allowed, e.g. a
+  /// bootstrap draw), ordering splits by the precomputed `ranks` of
+  /// `data`. The same tree as fit(data.subset(rows), rng), without
+  /// copying rows or re-ranking — a forest ranks its data once.
+  void fit(const Dataset& data, const FeatureRanks& ranks,
+           std::span<const std::size_t> rows, Rng* rng = nullptr);
+
   std::vector<double> predict_proba(
       std::span<const double> x) const override;
+
+  /// Class distribution of the leaf x reaches, without copying it.
+  /// Valid until the tree is refitted or destroyed.
+  std::span<const double> leaf_probs(std::span<const double> x) const;
+
   int n_classes() const noexcept override { return n_classes_; }
 
   const std::vector<TreeNode>& nodes() const noexcept { return nodes_; }
@@ -85,11 +97,15 @@ class DecisionTree final : public Classifier {
     double gain = 0.0;
   };
 
-  int build(const Dataset& data, std::vector<std::size_t>& indices,
-            std::span<const double> weights, int depth, Rng* rng);
-  SplitDecision best_split(const Dataset& data,
-                           const std::vector<std::size_t>& indices,
-                           std::span<const double> weights, Rng* rng) const;
+  struct FitState;
+
+  void fit_rows(const Dataset& data, const FeatureRanks& ranks,
+                std::span<const std::size_t> rows,
+                std::span<const double> weights, Rng* rng);
+  int build(FitState& state, std::vector<std::uint32_t>& indices,
+            int depth);
+  SplitDecision best_split(FitState& state,
+                           const std::vector<std::uint32_t>& indices) const;
 
   TreeConfig config_;
   std::vector<TreeNode> nodes_;

@@ -25,36 +25,66 @@ double gini(const std::vector<double>& counts, double total) {
 
 }  // namespace
 
+/// Everything a fit threads through the recursion: the training rows
+/// seen through the row map, and buffers reused node to node.
+struct DecisionTree::FitState {
+  const Dataset& data;
+  const FeatureRanks& ranks;
+  std::span<const std::size_t> rows;  // node index -> data row
+  std::span<const double> weights;    // per node index
+  Rng* rng;
+  std::vector<int> labels = {};  // per node index
+  std::vector<RankedRow> keyed = {};
+  RankSorter sorter = {};
+};
+
 void DecisionTree::fit(const Dataset& data, Rng* rng,
                        std::span<const double> sample_weights) {
   assert(data.n_rows() > 0);
+  std::vector<double> weights;
+  if (sample_weights.empty()) {
+    weights.assign(data.n_rows(), 1.0);
+    sample_weights = weights;
+  }
+  assert(sample_weights.size() == data.n_rows());
+  std::vector<std::size_t> rows(data.n_rows());
+  std::iota(rows.begin(), rows.end(), std::size_t{0});
+  fit_rows(data, FeatureRanks(data), rows, sample_weights, rng);
+}
+
+void DecisionTree::fit(const Dataset& data, const FeatureRanks& ranks,
+                       std::span<const std::size_t> rows, Rng* rng) {
+  assert(!rows.empty());
+  const std::vector<double> weights(rows.size(), 1.0);
+  fit_rows(data, ranks, rows, weights, rng);
+}
+
+void DecisionTree::fit_rows(const Dataset& data, const FeatureRanks& ranks,
+                            std::span<const std::size_t> rows,
+                            std::span<const double> weights, Rng* rng) {
   nodes_.clear();
   n_classes_ = data.n_classes();
   feature_names_ = data.feature_names();
   class_names_ = data.class_names();
 
-  std::vector<double> weights;
-  if (sample_weights.empty()) {
-    weights.assign(data.n_rows(), 1.0);
-  } else {
-    assert(sample_weights.size() == data.n_rows());
-    weights.assign(sample_weights.begin(), sample_weights.end());
-  }
-  std::vector<std::size_t> indices(data.n_rows());
-  std::iota(indices.begin(), indices.end(), std::size_t{0});
-  build(data, indices, weights, 0, rng);
+  FitState state{data, ranks, rows, weights, rng};
+  state.labels.reserve(rows.size());
+  for (const auto row : rows) state.labels.push_back(data.label(row));
+  // Node indices stay ascending through every partition, which is what
+  // lets the rank sort reproduce (value, row) order.
+  std::vector<std::uint32_t> indices(rows.size());
+  std::iota(indices.begin(), indices.end(), std::uint32_t{0});
+  build(state, indices, 0);
 }
 
-int DecisionTree::build(const Dataset& data,
-                        std::vector<std::size_t>& indices,
-                        std::span<const double> weights, int depth,
-                        Rng* rng) {
+int DecisionTree::build(FitState& state, std::vector<std::uint32_t>& indices,
+                        int depth) {
   // Node class distribution.
   std::vector<double> counts(static_cast<std::size_t>(n_classes_), 0.0);
   double total = 0.0;
   for (const auto i : indices) {
-    counts[static_cast<std::size_t>(data.label(i))] += weights[i];
-    total += weights[i];
+    counts[static_cast<std::size_t>(state.labels[i])] += state.weights[i];
+    total += state.weights[i];
   }
 
   const int node_index = static_cast<int>(nodes_.size());
@@ -75,18 +105,20 @@ int DecisionTree::build(const Dataset& data,
     return node_index;  // leaf (feature stays kLeaf)
   }
 
-  const auto split = best_split(data, indices, weights, rng);
+  const auto split = best_split(state, indices);
   if (split.feature < 0 || split.gain < config_.min_gain)
     return node_index;
 
-  std::vector<std::size_t> left_idx, right_idx;
+  // Partition on the value, not the rank: the midpoint of two adjacent
+  // doubles can round to the upper one, and deployed trees compare
+  // values against exactly this threshold.
+  const auto f = static_cast<std::size_t>(split.feature);
+  std::vector<std::uint32_t> left_idx, right_idx;
   left_idx.reserve(indices.size());
   right_idx.reserve(indices.size());
   for (const auto i : indices) {
-    (data.row(i)[static_cast<std::size_t>(split.feature)] <=
-             split.threshold
-         ? left_idx
-         : right_idx)
+    (state.ranks.value(f, state.rows[i]) <= split.threshold ? left_idx
+                                                            : right_idx)
         .push_back(i);
   }
   if (left_idx.size() < config_.min_samples_leaf ||
@@ -100,17 +132,16 @@ int DecisionTree::build(const Dataset& data,
   // Recurse; the vector may reallocate, so set fields via index.
   nodes_[static_cast<std::size_t>(node_index)].feature = split.feature;
   nodes_[static_cast<std::size_t>(node_index)].threshold = split.threshold;
-  const int left = build(data, left_idx, weights, depth + 1, rng);
+  const int left = build(state, left_idx, depth + 1);
   nodes_[static_cast<std::size_t>(node_index)].left = left;
-  const int right = build(data, right_idx, weights, depth + 1, rng);
+  const int right = build(state, right_idx, depth + 1);
   nodes_[static_cast<std::size_t>(node_index)].right = right;
   return node_index;
 }
 
 DecisionTree::SplitDecision DecisionTree::best_split(
-    const Dataset& data, const std::vector<std::size_t>& indices,
-    std::span<const double> weights, Rng* rng) const {
-  const std::size_t n_features = data.n_features();
+    FitState& state, const std::vector<std::uint32_t>& indices) const {
+  const std::size_t n_features = state.data.n_features();
 
   // Candidate features: all, or a random subset of size
   // features_per_split (random forest mode).
@@ -118,9 +149,9 @@ DecisionTree::SplitDecision DecisionTree::best_split(
   std::iota(features.begin(), features.end(), std::size_t{0});
   std::size_t consider = n_features;
   if (config_.features_per_split > 0 &&
-      config_.features_per_split < n_features && rng != nullptr) {
+      config_.features_per_split < n_features && state.rng != nullptr) {
     for (std::size_t i = 0; i < config_.features_per_split; ++i) {
-      const auto j = i + rng->below(n_features - i);
+      const auto j = i + state.rng->below(n_features - i);
       std::swap(features[i], features[j]);
     }
     consider = config_.features_per_split;
@@ -131,32 +162,33 @@ DecisionTree::SplitDecision DecisionTree::best_split(
                                     0.0);
   double total_weight = 0.0;
   for (const auto i : indices) {
-    parent_counts[static_cast<std::size_t>(data.label(i))] += weights[i];
-    total_weight += weights[i];
+    parent_counts[static_cast<std::size_t>(state.labels[i])] +=
+        state.weights[i];
+    total_weight += state.weights[i];
   }
   const double parent_gini = gini(parent_counts, total_weight);
 
   SplitDecision best;
-  std::vector<std::pair<double, std::size_t>> sorted;  // (value, row)
-  sorted.reserve(indices.size());
+  auto& sorted = state.keyed;  // (rank, node index), by rank
   std::vector<double> left_counts(static_cast<std::size_t>(n_classes_));
 
   for (std::size_t fi = 0; fi < consider; ++fi) {
     const std::size_t f = features[fi];
     sorted.clear();
-    for (const auto i : indices) sorted.emplace_back(data.row(i)[f], i);
-    std::sort(sorted.begin(), sorted.end());
-    if (sorted.front().first == sorted.back().first) continue;  // constant
+    for (const auto i : indices)
+      sorted.push_back({state.ranks.rank(f, state.rows[i]), i});
+    state.sorter.sort(sorted);
+    if (sorted.front().rank == sorted.back().rank) continue;  // constant
 
     std::fill(left_counts.begin(), left_counts.end(), 0.0);
     double left_weight = 0.0;
     for (std::size_t k = 0; k + 1 < sorted.size(); ++k) {
-      const auto row = sorted[k].second;
-      left_counts[static_cast<std::size_t>(data.label(row))] +=
-          weights[row];
-      left_weight += weights[row];
+      const auto i = sorted[k].row;
+      left_counts[static_cast<std::size_t>(state.labels[i])] +=
+          state.weights[i];
+      left_weight += state.weights[i];
       // Valid threshold only between distinct values.
-      if (sorted[k].first == sorted[k + 1].first) continue;
+      if (sorted[k].rank == sorted[k + 1].rank) continue;
       const double right_weight = total_weight - left_weight;
       if (left_weight <= 0.0 || right_weight <= 0.0) continue;
 
@@ -178,7 +210,8 @@ DecisionTree::SplitDecision DecisionTree::best_split(
       if (gain > best.gain) {
         best.feature = static_cast<int>(f);
         // Midpoint threshold generalizes better than the left value.
-        best.threshold = 0.5 * (sorted[k].first + sorted[k + 1].first);
+        best.threshold = 0.5 * (state.ranks.level(f, sorted[k].rank) +
+                                state.ranks.level(f, sorted[k + 1].rank));
         best.gain = gain;
       }
     }
@@ -188,8 +221,13 @@ DecisionTree::SplitDecision DecisionTree::best_split(
 
 std::vector<double> DecisionTree::predict_proba(
     std::span<const double> x) const {
-  const int leaf = decision_leaf(x);
-  return nodes_[static_cast<std::size_t>(leaf)].class_probs;
+  const auto probs = leaf_probs(x);
+  return {probs.begin(), probs.end()};
+}
+
+std::span<const double> DecisionTree::leaf_probs(
+    std::span<const double> x) const {
+  return nodes_[static_cast<std::size_t>(decision_leaf(x))].class_probs;
 }
 
 int DecisionTree::decision_leaf(std::span<const double> x) const {

@@ -1,10 +1,24 @@
 #include "campuslab/packet/builder.h"
 
+#include <algorithm>
+#include <array>
 #include <cassert>
 
 #include "campuslab/packet/checksum.h"
 
 namespace campuslab::packet {
+
+namespace {
+
+/// One period of the payload_size filler: byte i is 0xA5 ^ (i & 0xFF).
+constexpr auto kFillerPeriod = [] {
+  std::array<std::uint8_t, 256> period{};
+  for (std::size_t i = 0; i < period.size(); ++i)
+    period[i] = static_cast<std::uint8_t>(0xA5 ^ i);
+  return period;
+}();
+
+}  // namespace
 
 PacketBuilder& PacketBuilder::tcp(const Endpoint& src, const Endpoint& dst,
                                   std::uint8_t flags, std::uint32_t seq,
@@ -43,9 +57,13 @@ PacketBuilder& PacketBuilder::payload(std::span<const std::uint8_t> data) {
 }
 
 PacketBuilder& PacketBuilder::payload_size(std::size_t n) {
-  payload_.resize(n);
-  for (std::size_t i = 0; i < n; ++i)
-    payload_[i] = static_cast<std::uint8_t>(0xA5 ^ (i & 0xFF));
+  payload_.clear();
+  payload_.reserve(n);
+  while (payload_.size() < n) {
+    const auto take = std::min(kFillerPeriod.size(), n - payload_.size());
+    payload_.insert(payload_.end(), kFillerPeriod.begin(),
+                    kFillerPeriod.begin() + static_cast<std::ptrdiff_t>(take));
+  }
   return *this;
 }
 

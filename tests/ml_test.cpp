@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <sstream>
 
@@ -12,6 +13,7 @@
 #include "campuslab/ml/linear.h"
 #include "campuslab/ml/metrics.h"
 #include "campuslab/ml/tree.h"
+#include "campuslab/util/hash.h"
 
 namespace campuslab::ml {
 namespace {
@@ -39,6 +41,36 @@ Dataset xor_dataset(std::size_t n, std::uint64_t seed) {
     const double row[2] = {x0, x1};
     data.add(row, (x0 > 0) != (x1 > 0) ? 1 : 0);
   }
+  return data;
+}
+
+/// Three classes over a mix of heavily tied columns (a quantized grid,
+/// a quarter-step grid, a 0/1 flag) and continuous ones — the shape of
+/// flow features, where counters repeat and ratios do not.
+Dataset tied_dataset(std::size_t n, std::uint64_t seed) {
+  Dataset data({"grid8", "quarter", "flag", "normal", "uniform"},
+               {"a", "b", "c"});
+  Rng rng(seed);
+  for (std::size_t i = 0; i < n; ++i) {
+    const double grid = std::floor(rng.uniform(0.0, 8.0));
+    const double quarter = std::round(rng.uniform(0.0, 1.0) * 4.0) / 4.0;
+    const double flag = rng.chance(0.3) ? 1.0 : 0.0;
+    const double normal = rng.normal(0.0, 1.0);
+    const double uniform = rng.uniform(-2.0, 2.0);
+    const double row[5] = {grid, quarter, flag, normal, uniform};
+    int y = grid + 2.0 * quarter > 5.0 ? 2 : (normal + flag > 0.5 ? 1 : 0);
+    if (rng.chance(0.1)) y = static_cast<int>(rng.below(3));
+    data.add(row, y);
+  }
+  return data;
+}
+
+/// Binary relabelling of tied_dataset (class "a" vs the rest).
+Dataset tied_binary_dataset(std::size_t n, std::uint64_t seed) {
+  const auto multi = tied_dataset(n, seed);
+  Dataset data(multi.feature_names(), {"neg", "pos"});
+  for (std::size_t i = 0; i < multi.n_rows(); ++i)
+    data.add(multi.row(i), multi.label(i) == 0 ? 0 : 1);
   return data;
 }
 
@@ -77,6 +109,66 @@ TEST(Dataset, BootstrapSameSizeFromOriginalRows) {
   Rng rng(4);
   const auto boot = data.bootstrap(rng);
   EXPECT_EQ(boot.n_rows(), data.n_rows());
+}
+
+TEST(Dataset, BootstrapRowsAreTheBootstrapDraw) {
+  auto data = two_blob_dataset(50, 2.0, 4);
+  Rng a(5), b(5);
+  const auto boot = data.bootstrap(a);
+  const auto rows = data.bootstrap_rows(b);
+  ASSERT_EQ(rows.size(), boot.n_rows());
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    EXPECT_EQ(boot.label(i), data.label(rows[i]));
+    EXPECT_EQ(boot.row(i)[0], data.row(rows[i])[0]);
+  }
+  EXPECT_EQ(a.next(), b.next());  // same rng calls
+}
+
+// ----------------------------------------------------------- FeatureRanks
+
+TEST(FeatureRanks, LevelsAreSortedDistinctValues) {
+  Dataset data({"x"}, {"a", "b"});
+  for (const double v : {3.0, -1.0, 3.0, 0.0, -0.0, 7.5, -1.0}) {
+    const double row[1] = {v};
+    data.add(row, 0);
+  }
+  const FeatureRanks ranks(data);
+  // Four levels: -1, 0 (either sign), 3, 7.5.
+  const std::uint32_t expected_rank[7] = {2, 0, 2, 1, 1, 3, 0};
+  for (std::size_t i = 0; i < data.n_rows(); ++i)
+    EXPECT_EQ(ranks.rank(0, i), expected_rank[i]);
+  EXPECT_EQ(ranks.level(0, 0), -1.0);
+  EXPECT_EQ(ranks.level(0, 1), 0.0);
+  EXPECT_EQ(ranks.level(0, 2), 3.0);
+  EXPECT_EQ(ranks.level(0, 3), 7.5);
+  for (std::size_t i = 0; i < data.n_rows(); ++i)
+    EXPECT_EQ(ranks.value(0, i), data.row(i)[0]);
+}
+
+TEST(FeatureRanks, SorterReproducesValueRowOrder) {
+  // Dense nodes take the counting sort, sparse ones std::sort; both
+  // must give the (value, row) order of a comparison sort.
+  Rng rng(8);
+  RankSorter sorter;
+  for (const std::uint32_t levels : {3u, 40u, 5000u}) {
+    for (const std::size_t n : {1u, 2u, 17u, 600u}) {
+      std::vector<RankedRow> keyed;
+      for (std::uint32_t row = 0; keyed.size() < n; row += 1 + rng.below(3))
+        keyed.push_back(
+            {static_cast<std::uint32_t>(rng.below(levels)), row});
+      auto expected = keyed;
+      std::stable_sort(expected.begin(), expected.end(),
+                       [](const RankedRow& a, const RankedRow& b) {
+                         return a.rank < b.rank;
+                       });
+      sorter.sort(keyed);
+      ASSERT_EQ(keyed.size(), expected.size());
+      for (std::size_t k = 0; k < n; ++k) {
+        EXPECT_EQ(keyed[k].rank, expected[k].rank);
+        EXPECT_EQ(keyed[k].row, expected[k].row);
+      }
+    }
+  }
 }
 
 TEST(Dataset, FeatureRanges) {
@@ -165,6 +257,41 @@ TEST(DecisionTree, DeterministicAcrossFits) {
   for (std::size_t i = 0; i < a.node_count(); ++i) {
     EXPECT_EQ(a.nodes()[i].feature, b.nodes()[i].feature);
     EXPECT_EQ(a.nodes()[i].threshold, b.nodes()[i].threshold);
+  }
+}
+
+TEST(DecisionTree, RowMapFitMatchesSubsetFit) {
+  // Fitting a bootstrap draw through the shared rank table must give
+  // the tree that fitting a copied, freshly ranked sample gives.
+  const auto data = tied_dataset(500, 14);
+  const FeatureRanks ranks(data);
+  TreeConfig cfg;
+  cfg.max_depth = 12;
+  cfg.min_samples_leaf = 2;
+  cfg.features_per_split = 2;
+  Rng draw(15);
+  const auto rows = data.bootstrap_rows(draw);
+  Rng rng_a(16), rng_b(16);
+  DecisionTree mapped(cfg), copied(cfg);
+  mapped.fit(data, ranks, rows, &rng_a);
+  copied.fit(data.subset(rows), &rng_b);
+  EXPECT_GT(mapped.node_count(), 10u);
+  EXPECT_EQ(mapped.serialize(), copied.serialize());
+}
+
+TEST(DecisionTree, LeafProbsIsTheLeafDistribution) {
+  auto data = two_blob_dataset(200, 1.0, 16);
+  DecisionTree tree;
+  tree.fit(data);
+  Rng rng(17);
+  for (int i = 0; i < 50; ++i) {
+    const double x[2] = {rng.uniform(-3, 4), rng.uniform(-3, 4)};
+    const auto leaf = tree.leaf_probs(x);
+    const auto& node =
+        tree.nodes()[static_cast<std::size_t>(tree.decision_leaf(x))];
+    EXPECT_EQ(leaf.data(), node.class_probs.data());  // no copy
+    EXPECT_EQ(std::vector<double>(leaf.begin(), leaf.end()),
+              tree.predict_proba(x));
   }
 }
 
@@ -363,6 +490,61 @@ TEST(GradientBoosted, MoreRoundsMoreNodes) {
   EXPECT_EQ(a.rounds_trained(), 5);
   EXPECT_EQ(b.rounds_trained(), 50);
   EXPECT_GT(b.total_nodes(), a.total_nodes());
+}
+
+// ------------------------------------------------------------ Model pins
+//
+// FNV-1a hashes of fitted models, recorded before the split search
+// moved from a per-node (value, row) sort to rank-ordered counting
+// sort. Any change to split order, tie-breaking, thresholds or
+// floating-point accumulation order changes these.
+
+TEST(ModelPins, DecisionTreeOnTiedColumns) {
+  const auto data = tied_dataset(900, 101);
+  DecisionTree tree;
+  tree.fit(data);
+  EXPECT_EQ(util::fnv1a(tree.serialize()), 0x6f148555c3ffaf8bULL);
+}
+
+TEST(ModelPins, DecisionTreeWithFractionalWeights) {
+  const auto data = tied_dataset(900, 101);
+  std::vector<double> weights(data.n_rows());
+  Rng rng(102);
+  for (auto& w : weights) w = 0.1 + rng.uniform(0.0, 1.7);
+  TreeConfig cfg;
+  cfg.max_depth = 10;
+  cfg.min_samples_leaf = 3;
+  DecisionTree tree(cfg);
+  tree.fit(data, nullptr, weights);
+  EXPECT_EQ(util::fnv1a(tree.serialize()), 0x482e104a85818070ULL);
+}
+
+TEST(ModelPins, RandomForest) {
+  const auto data = tied_dataset(700, 103);
+  ForestConfig cfg;
+  cfg.n_trees = 7;
+  cfg.max_depth = 12;
+  cfg.seed = 104;
+  RandomForest forest(cfg);
+  forest.fit(data);
+  std::uint64_t h = util::kFnvOffsetBasis;
+  for (const auto& tree : forest.trees()) h = util::fnv1a(tree.serialize(), h);
+  EXPECT_EQ(h, 0x6a1d1a82b7e02187ULL);
+}
+
+TEST(ModelPins, GradientBoostedDecisionValues) {
+  const auto data = tied_binary_dataset(800, 105);
+  BoostConfig cfg;
+  cfg.n_rounds = 25;
+  cfg.seed = 106;
+  GradientBoosted gbt(cfg);
+  gbt.fit(data);
+  const auto probe = tied_dataset(200, 107);
+  std::uint64_t h = util::kFnvOffsetBasis;
+  for (std::size_t i = 0; i < probe.n_rows(); ++i)
+    h = util::fnv1a_step(h, std::bit_cast<std::uint64_t>(
+                                gbt.decision_value(probe.row(i))));
+  EXPECT_EQ(h, 0x71f20b72a147b501ULL);
 }
 
 // ----------------------------------------------------- LogisticRegression

@@ -385,6 +385,24 @@ TEST(Builder, TcpFrameDecodesCleanly) {
   EXPECT_TRUE(v.payload().empty());
 }
 
+TEST(Builder, PayloadSizeFillsThePattern) {
+  const auto src = make_ep(1, Ipv4Address(10, 0, 1, 5), 1234);
+  const auto dst = make_ep(2, Ipv4Address(10, 0, 2, 6), 80);
+  for (const std::size_t n : {0u, 1u, 255u, 256u, 257u, 1400u}) {
+    const auto pkt = PacketBuilder(Timestamp{})
+                         .udp(src, dst)
+                         .payload_size(n)
+                         .build();
+    PacketView v(pkt);
+    ASSERT_TRUE(v.valid());
+    const auto payload = v.payload();
+    ASSERT_EQ(payload.size(), n);
+    for (std::size_t i = 0; i < n; ++i)
+      ASSERT_EQ(payload[i], static_cast<std::uint8_t>(0xA5 ^ (i & 0xFF)))
+          << "byte " << i << " of " << n;
+  }
+}
+
 TEST(Builder, Ipv4ChecksumValidOnWire) {
   const auto src = make_ep(1, Ipv4Address(10, 0, 1, 5), 1234);
   const auto dst = make_ep(2, Ipv4Address(10, 0, 2, 6), 80);
