@@ -154,8 +154,8 @@ int main() {
           ingester.ingest(s, r);
         });
   sharded.add_sink_factory([&](std::size_t s) {
-    return [&shard_flows, s](const capture::TaggedPacket& t) {
-      shard_flows.meter(s).offer(t.pkt, t.dir);
+    return [&shard_flows, s](const capture::DecodedPacket& t) {
+      shard_flows.meter(s).offer(t.pkt, t.view, t.dir);
     };
   });
 

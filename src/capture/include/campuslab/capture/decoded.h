@@ -32,7 +32,4 @@ struct DecodedPacket {
       : pkt(std::move(p)), dir(d), view(pkt.bytes()) {}
 };
 
-/// PR-1 name for the ring element; existing sinks keep compiling.
-using TaggedPacket = DecodedPacket;
-
 }  // namespace campuslab::capture

@@ -92,19 +92,10 @@ class FlowMeter {
   /// Update flow state with one packet. Non-IPv4 frames are counted and
   /// skipped. Eviction checks run opportunistically against the
   /// packet's timestamp (virtual time).
-  ///
-  /// The three-argument form is the parse-once path: `view` must be a
-  /// decode of `pkt`'s bytes (DecodedPacket guarantees this). The
-  /// two-argument form re-parses and exists for callers outside the
-  /// capture pipeline; both run the identical update.
+  /// `view` must be a decode of `pkt`'s bytes (DecodedPacket
+  /// guarantees this).
   void offer(const packet::Packet& pkt, const packet::PacketView& view,
              sim::Direction dir);
-  void offer(const packet::Packet& pkt, sim::Direction dir) {
-    offer(pkt, packet::PacketView(pkt), dir);
-  }
-  void offer(const DecodedPacket& decoded) {
-    offer(decoded.pkt, decoded.view, decoded.dir);
-  }
 
   /// Evict every flow idle/active-expired as of `now`.
   void sweep(Timestamp now);

@@ -157,13 +157,13 @@ std::size_t ShardedCaptureEngine::consume_batch(Shard& shard,
                                                 std::size_t max_batch) {
   auto& metrics = ShardedMetrics::get();
   std::size_t consumed = 0;
-  TaggedPacket tagged;
+  DecodedPacket decoded;
   try {
     while (consumed < max_batch) {
       bool popped;
       {
         obs::StageTimer timer(metrics.dequeue_ns);
-        popped = shard.ring.try_pop(tagged);
+        popped = shard.ring.try_pop(decoded);
         if (!popped) timer.cancel();  // empty-ring probes are not latency
       }
       if (!popped) break;
@@ -175,7 +175,7 @@ std::size_t ShardedCaptureEngine::consume_batch(Shard& shard,
       {
         obs::StageTimer timer(metrics.dispatch_ns);
         resilience::fault_point("capture.sink_dispatch");
-        for (const auto& sink : shard.sinks) sink(tagged);
+        for (const auto& sink : shard.sinks) sink(decoded);
       }
     }
   } catch (...) {
@@ -241,9 +241,9 @@ void ShardedCaptureEngine::worker_loop(Shard& shard) {
 }
 
 void ShardedCaptureEngine::abandon_ring(Shard& shard) {
-  TaggedPacket tagged;
+  DecodedPacket decoded;
   std::uint64_t n = 0;
-  while (shard.ring.try_pop(tagged)) ++n;
+  while (shard.ring.try_pop(decoded)) ++n;
   if (n > 0) {
     shard.stats.record_abandoned(n);
     shard.obs_abandoned->add(n);

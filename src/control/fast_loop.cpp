@@ -30,8 +30,9 @@ Result<std::unique_ptr<FastLoop>> FastLoop::deploy(
 }
 
 void FastLoop::install(sim::CampusNetwork& network) {
-  network.set_ingress_filter(
-      [this](const packet::Packet& pkt) { return inspect(pkt); });
+  network.set_ingress_filter([this](const packet::Packet& pkt) {
+    return inspect(pkt, packet::PacketView(pkt));
+  });
 }
 
 bool FastLoop::inspect(const packet::Packet& pkt,
@@ -102,7 +103,8 @@ bool FastLoop::inspect(const packet::Packet& pkt,
 void ModelHandle::install(sim::CampusNetwork& network) {
   network.set_ingress_filter([this](const packet::Packet& pkt) {
     auto snap = acquire();
-    return snap && snap->loop ? snap->loop->inspect(pkt) : false;
+    return snap && snap->loop &&
+           snap->loop->inspect(pkt, packet::PacketView(pkt));
   });
 }
 

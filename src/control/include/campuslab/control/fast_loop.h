@@ -62,12 +62,8 @@ class FastLoop {
   void install(sim::CampusNetwork& network);
 
   /// Decide one packet: true = drop. Exposed for canary/testing use.
-  /// The view-taking form is the parse-once path: `view` must be a
-  /// decode of `pkt`'s bytes; the one-argument form re-parses.
+  /// `view` must be a decode of `pkt`'s bytes.
   bool inspect(const packet::Packet& pkt, const packet::PacketView& view);
-  bool inspect(const packet::Packet& pkt) {
-    return inspect(pkt, packet::PacketView(pkt));
-  }
 
   /// Optional degradation hook: every inspect() asks the controller
   /// about kFastLoopVerdict — which is structurally never shed — so the

@@ -115,8 +115,10 @@ Status AutomationLoop::start() {
   handle_.install(testbed_->network());
   // One permanent tee to whichever canary is live; sinks cannot be
   // removed, so cycles must not each register their own.
-  testbed_->add_observer([this](const capture::TaggedPacket& tagged) {
-    if (canary_) canary_->observe(tagged.pkt, tagged.view, tagged.dir);
+  testbed_->add_sink_factory([this](std::size_t) {
+    return [this](const capture::DecodedPacket& decoded) {
+      if (canary_) canary_->observe(decoded.pkt, decoded.view, decoded.dir);
+    };
   });
   started_ = true;
   LoopMetrics::get().health.set(static_cast<int>(health_));

@@ -28,8 +28,10 @@ Result<std::unique_ptr<CanaryDeployment>> CanaryDeployment::create(
 }
 
 void CanaryDeployment::attach(Testbed& testbed) {
-  testbed.add_observer([this](const capture::TaggedPacket& tagged) {
-    observe(tagged.pkt, tagged.view, tagged.dir);
+  testbed.add_sink_factory([this](std::size_t) {
+    return [this](const capture::DecodedPacket& decoded) {
+      observe(decoded.pkt, decoded.view, decoded.dir);
+    };
   });
 }
 

@@ -51,13 +51,10 @@ class CanaryDeployment {
   /// Register on a testbed's capture path (observes inbound packets).
   void attach(Testbed& testbed);
 
-  /// Feed one packet directly. The view-taking form is the parse-once
-  /// path used by attach(); the two-argument form re-parses.
+  /// Feed one packet directly, as attach() does. `view` must decode
+  /// `pkt`'s bytes.
   void observe(const packet::Packet& pkt, const packet::PacketView& view,
                sim::Direction dir);
-  void observe(const packet::Packet& pkt, sim::Direction dir) {
-    observe(pkt, packet::PacketView(pkt), dir);
-  }
 
   const CanaryStats& stats() const noexcept { return stats_; }
 

@@ -22,7 +22,7 @@
 #include <array>
 #include <set>
 
-#include "campuslab/capture/engine.h"
+#include "campuslab/capture/decoded.h"
 #include "campuslab/sim/topology.h"
 #include "campuslab/store/datastore.h"
 #include "campuslab/util/rng.h"
@@ -57,7 +57,7 @@ class SensorEmulator {
 
   /// Feed every captured packet (the testbed registers this as a
   /// capture sink). DHCP chatter is emitted on the packet clock.
-  void observe(const capture::TaggedPacket& tagged);
+  void observe(const capture::DecodedPacket& decoded);
 
   const SensorStats& stats() const noexcept { return stats_; }
 

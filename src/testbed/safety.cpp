@@ -12,7 +12,7 @@ bool SafetyMonitor::inspect(const packet::Packet& pkt) {
 
   if (pkt.ts - window_start_ >= config_.window) finish_window(pkt.ts);
 
-  const bool drop = loop_->inspect(pkt);
+  const bool drop = loop_->inspect(pkt, packet::PacketView(pkt));
   if (!packet::is_attack(pkt.label)) {
     ++window_benign_;
     if (drop) ++window_benign_dropped_;

@@ -24,8 +24,8 @@ bool SensorEmulator::port_served(packet::Ipv4Address dst,
   return false;
 }
 
-void SensorEmulator::observe(const capture::TaggedPacket& tagged) {
-  const auto& pkt = tagged.pkt;
+void SensorEmulator::observe(const capture::DecodedPacket& decoded) {
+  const auto& pkt = decoded.pkt;
 
   // Routine infrastructure hum, driven by the virtual clock.
   if (config_.dhcp && pkt.ts - last_dhcp_ >= config_.dhcp_period) {
@@ -39,10 +39,9 @@ void SensorEmulator::observe(const capture::TaggedPacket& tagged) {
     }
   }
 
-  if (tagged.dir != sim::Direction::kInbound) return;
-  // Parse-once: the decode cached at the tap rides in on the tagged
-  // packet.
-  const PacketView& view = tagged.view;
+  if (decoded.dir != sim::Direction::kInbound) return;
+  // Parse-once: read the decode cached at the tap.
+  const PacketView& view = decoded.view;
   if (!view.valid() || !view.is_ipv4()) return;
   const auto tuple = view.five_tuple();
   if (!tuple) return;

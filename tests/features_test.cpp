@@ -157,6 +157,13 @@ packet::Packet inbound_udp(double t, Ipv4Address src, Ipv4Address dst,
       .build();
 }
 
+// The parse-once entry point, fed a frame decoded here as the capture
+// tap would.
+std::vector<double> extract(StatefulFeatureExtractor& extractor,
+                            const packet::Packet& pkt, Direction dir) {
+  return extractor.extract(pkt, packet::PacketView(pkt), dir);
+}
+
 TEST(PacketFeatures, RateRegistersRiseUnderFlood) {
   StatefulFeatureExtractor extractor;
   const Ipv4Address victim(10, 1, 16, 2);
@@ -165,7 +172,7 @@ TEST(PacketFeatures, RateRegistersRiseUnderFlood) {
     // 1000 pps flood from rotating reflectors.
     const Ipv4Address reflector(
         static_cast<std::uint32_t>(0x08080000 + (i % 200)));
-    const auto x = extractor.extract(
+    const auto x = extract(extractor,
         inbound_udp(1.0 + i * 0.001, reflector, victim, 53, 1200),
         Direction::kInbound);
     ASSERT_EQ(x.size(), kPacketFeatureCount);
@@ -191,7 +198,7 @@ TEST(PacketFeatures, FanoutRisesForScanner) {
   for (int i = 0; i < 200; ++i) {
     const Ipv4Address target(
         static_cast<std::uint32_t>(0x0A011000 + i));
-    last = extractor.extract(
+    last = extract(extractor,
         inbound_udp(1.0 + i * 0.01, scanner, target, 40000, 0),
         Direction::kInbound);
   }
@@ -206,13 +213,13 @@ TEST(PacketFeatures, SketchWindowRolls) {
   const Ipv4Address victim(10, 1, 16, 2);
   // Burst of distinct sources, then quiet, then one packet much later.
   for (int i = 0; i < 100; ++i) {
-    extractor.extract(
+    extract(extractor,
         inbound_udp(1.0 + i * 0.001,
                     Ipv4Address(static_cast<std::uint32_t>(0x17000000 + i)),
                     victim, 53, 100),
         Direction::kInbound);
   }
-  const auto x = extractor.extract(
+  const auto x = extract(extractor,
       inbound_udp(10.0, Ipv4Address(23, 9, 9, 9), victim, 53, 100),
       Direction::kInbound);
   // Window rolled: the distinct-src sketch only saw the one new packet.
@@ -222,7 +229,7 @@ TEST(PacketFeatures, SketchWindowRolls) {
 
 TEST(PacketFeatures, OutboundPacketsSkipRegisters) {
   StatefulFeatureExtractor extractor;
-  const auto x = extractor.extract(
+  const auto x = extract(extractor,
       inbound_udp(1.0, Ipv4Address(10, 1, 16, 2), Ipv4Address(8, 8, 8, 8),
                   5000, 64),
       Direction::kOutbound);
@@ -237,7 +244,7 @@ TEST(PacketFeatures, NonIpReturnsEmpty) {
   packet::Packet junk;
   junk.ts = Timestamp::from_seconds(1);
   junk.assign(64, 0xAA);
-  EXPECT_TRUE(extractor.extract(junk, Direction::kInbound).empty());
+  EXPECT_TRUE(extract(extractor, junk, Direction::kInbound).empty());
 }
 
 TEST(PacketFeatures, HostTrackingBounded) {
@@ -245,7 +252,7 @@ TEST(PacketFeatures, HostTrackingBounded) {
   cfg.max_tracked_hosts = 100;
   StatefulFeatureExtractor extractor(cfg);
   for (int i = 0; i < 1000; ++i) {
-    extractor.extract(
+    extract(extractor,
         inbound_udp(1.0 + i * 0.001, Ipv4Address(23, 0, 0, 1),
                     Ipv4Address(static_cast<std::uint32_t>(0x0A010000 + i)),
                     40000, 0),
@@ -271,7 +278,9 @@ TEST(DatasetBuilder, MulticlassFromSimulatedTraffic) {
   std::vector<capture::FlowRecord> flows;
   meter.set_sink([&](const capture::FlowRecord& r) { flows.push_back(r); });
   simulator.network().set_tap(
-      [&](const packet::Packet& p, Direction d) { meter.offer(p, d); });
+      [&](const packet::Packet& p, Direction d) {
+        meter.offer(p, packet::PacketView(p), d);
+      });
   simulator.run_for(Duration::seconds(12));
   meter.flush();
 

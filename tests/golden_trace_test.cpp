@@ -278,7 +278,7 @@ std::vector<std::string> run_pipeline(const std::vector<TraceFrame>& trace) {
   features::ShardedFlowCollector collector(kShards);
   features::PacketDatasetCollector datasets;
   engine.add_sink_factory([&](std::size_t shard) {
-    return [&collector, &datasets, shard](const capture::TaggedPacket& t) {
+    return [&collector, &datasets, shard](const capture::DecodedPacket& t) {
       collector.meter(shard).offer(t.pkt, t.view, t.dir);
       datasets.offer(t.pkt, t.view, t.dir);
     };
@@ -296,7 +296,8 @@ std::vector<std::string> run_pipeline(const std::vector<TraceFrame>& trace) {
     pkt.assign(f.bytes);
     // FastLoop scores inbound frames only — mirror the ingress scope.
     if (f.dir == sim::Direction::kInbound)
-      verdicts.push_back(loop.value()->inspect(pkt) ? '1' : '0');
+      verdicts.push_back(
+          loop.value()->inspect(pkt, packet::PacketView(pkt)) ? '1' : '0');
     engine.offer(std::move(pkt), f.dir);
     engine.drain();  // sim mode: consume in arrival order
   }

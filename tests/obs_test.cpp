@@ -333,8 +333,8 @@ TEST(ObsPipeline, SnapshotExposesAtLeastSixStages) {
         [&ingester, shard](const capture::FlowRecord& r) {
           ingester.ingest(shard, r);
         });
-    return [&collector, &datasets, shard](const capture::TaggedPacket& t) {
-      collector.meter(shard).offer(t);
+    return [&collector, &datasets, shard](const capture::DecodedPacket& t) {
+      collector.meter(shard).offer(t.pkt, t.view, t.dir);
       datasets.offer(t.pkt, t.view, t.dir);
     };
   });
@@ -348,7 +348,7 @@ TEST(ObsPipeline, SnapshotExposesAtLeastSixStages) {
                    .udp(host(1 + (i % 8), 40000), host(100, 53))
                    .payload_size(i % 2 == 0 ? 120 : 1200)
                    .build();
-    loop.value()->inspect(pkt);
+    loop.value()->inspect(pkt, packet::PacketView(pkt));
     engine.offer(std::move(pkt), sim::Direction::kInbound);
   }
   engine.drain();

@@ -2,8 +2,8 @@
 // at the tap must be indistinguishable from a fresh per-stage decode.
 // For a mixed benign + DNS-amplification trace, every consumer that
 // accepts a cached view (FlowMeter, PacketDatasetCollector, FastLoop /
-// SoftwareSwitch) is run twice — once re-parsing per stage, once on the
-// cached view — and must produce identical output.
+// SoftwareSwitch) is run twice — once on a fresh PacketView decoded per
+// stage, once on the cached view — and must produce identical output.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -92,12 +92,13 @@ TEST(ParseOnce, FlowExportsIdentical) {
 
   FlowMeter fresh;
   fresh.set_sink([&](const FlowRecord& r) { serialize(r, fresh_bytes); });
-  for (const auto& t : trace) fresh.offer(t.pkt, t.dir);  // re-parses
+  for (const auto& t : trace)
+    fresh.offer(t.pkt, packet::PacketView(t.pkt), t.dir);  // fresh decode
   fresh.flush();
 
   FlowMeter cached;
   cached.set_sink([&](const FlowRecord& r) { serialize(r, cached_bytes); });
-  for (const auto& t : trace) cached.offer(t);  // cached view
+  for (const auto& t : trace) cached.offer(t.pkt, t.view, t.dir);  // cached
   cached.flush();
 
   ASSERT_FALSE(fresh_bytes.empty());
@@ -111,7 +112,8 @@ TEST(ParseOnce, DatasetRowsIdentical) {
   options.seed = 99;
 
   features::PacketDatasetCollector fresh(options);
-  for (const auto& t : trace) fresh.offer(t.pkt, t.dir);
+  for (const auto& t : trace)
+    fresh.offer(t.pkt, packet::PacketView(t.pkt), t.dir);
   features::PacketDatasetCollector cached(options);
   for (const auto& t : trace) cached.offer(t.pkt, t.view, t.dir);
 
@@ -130,7 +132,7 @@ TEST(ParseOnce, DatasetRowsIdentical) {
 
 TEST(ParseOnce, FastLoopVerdictsIdentical) {
   // Train a small deployable model the same way the control tests do,
-  // then deploy it twice and feed one loop re-parsed packets and the
+  // then deploy it twice and feed one loop freshly decoded views and the
   // other the cached views.
   testbed::TestbedConfig cfg;
   cfg.scenario.campus.seed = 2024;
@@ -170,7 +172,8 @@ TEST(ParseOnce, FastLoopVerdictsIdentical) {
   const auto trace = record_trace(2025);
   for (const auto& t : trace) {
     if (t.dir != sim::Direction::kInbound) continue;
-    const bool a = fresh.value()->inspect(t.pkt);          // re-parses
+    const bool a =
+        fresh.value()->inspect(t.pkt, packet::PacketView(t.pkt));  // fresh
     const bool b = cached.value()->inspect(t.pkt, t.view);  // cached
     ASSERT_EQ(b, a);
   }

@@ -62,7 +62,7 @@ TEST(ShardedCaptureEngine, ConcurrentLosslessAccounting) {
 
   std::vector<std::uint64_t> per_shard_seen(4, 0);
   engine.add_sink_factory([&](std::size_t shard) {
-    return [&per_shard_seen, shard](const TaggedPacket&) {
+    return [&per_shard_seen, shard](const DecodedPacket&) {
       ++per_shard_seen[shard];  // worker-local: only shard's thread
     };
   });
@@ -236,8 +236,8 @@ TEST(ShardedCapturePipeline, FlowsReachStoreDeterministically) {
         ingester.ingest(s, r);
       });
     engine.add_sink_factory([&](std::size_t s) {
-      return [&flows, s](const TaggedPacket& t) {
-        flows.meter(s).offer(t.pkt, t.dir);
+      return [&flows, s](const DecodedPacket& t) {
+        flows.meter(s).offer(t.pkt, t.view, t.dir);
       };
     });
 

@@ -1,14 +1,14 @@
 // Determinism regression: with shards=1 the sharded engine must produce
-// a byte-identical flow-export stream to the legacy CaptureEngine on
-// the same simulated trace. Every downstream EXPERIMENTS number is
-// derived from these exports, so this is the contract that lets later
-// PRs swap the sharded pipeline in without re-baselining results.
+// a byte-identical flow-export stream to a reference FlowMeter fed the
+// same simulated trace directly, one freshly decoded frame at a time.
+// Every downstream EXPERIMENTS number is derived from these exports, so
+// this is the contract that lets the testbed capture through the
+// sharded engine without re-baselining results.
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <vector>
 
-#include "campuslab/capture/engine.h"
 #include "campuslab/capture/sharded_engine.h"
 #include "campuslab/features/flow_merge.h"
 #include "campuslab/sim/simulator.h"
@@ -53,8 +53,8 @@ std::vector<std::uint8_t> serialize_all(
 }
 
 /// A few seconds of campus traffic with one injected attack, recorded
-/// off the simulator tap so both pipelines replay the exact same trace.
-std::vector<TaggedPacket> record_trace() {
+/// off the simulator tap so both arms replay the exact same trace.
+std::vector<DecodedPacket> record_trace() {
   sim::ScenarioConfig scenario;
   scenario.campus.seed = 1234;
   scenario.campus.diurnal = false;
@@ -65,36 +65,34 @@ std::vector<TaggedPacket> record_trace() {
           .lasting(Duration::seconds(3)));
 
   sim::CampusSimulator simulator(scenario);
-  std::vector<TaggedPacket> trace;
+  std::vector<DecodedPacket> trace;
   simulator.network().set_tap(
       [&](const packet::Packet& p, sim::Direction d) {
-        trace.push_back(TaggedPacket{p, d});
+        trace.push_back(DecodedPacket{p, d});
       });
   simulator.run_for(Duration::seconds(8));
   return trace;
+}
+
+/// The reference arm: a FlowMeter fed the trace directly, each frame
+/// decoded fresh instead of reading the view cached at record time.
+std::vector<FlowRecord> reference_exports(
+    const std::vector<DecodedPacket>& trace) {
+  std::vector<FlowRecord> exports;
+  FlowMeter meter;
+  meter.set_sink([&](const FlowRecord& r) { exports.push_back(r); });
+  for (const auto& t : trace)
+    meter.offer(t.pkt, packet::PacketView(t.pkt), t.dir);
+  meter.flush();
+  return exports;
 }
 
 TEST(ShardedDeterminism, SingleShardMatchesLegacyEngineByteForByte) {
   const auto trace = record_trace();
   ASSERT_GT(trace.size(), 1000u);
 
-  // Legacy pipeline: CaptureEngine -> FlowMeter, consumed inline.
-  std::vector<FlowRecord> legacy_exports;
-  {
-    CaptureEngine engine;
-    FlowMeter meter;
-    meter.set_sink(
-        [&](const FlowRecord& r) { legacy_exports.push_back(r); });
-    engine.add_sink(
-        [&](const TaggedPacket& t) { meter.offer(t.pkt, t.dir); });
-    for (const auto& tagged : trace) {
-      engine.offer(tagged.pkt, tagged.dir);
-      engine.poll(64);
-    }
-    engine.drain();
-    meter.flush();
-    EXPECT_EQ(engine.stats().dropped, 0u);
-  }
+  // Reference: no capture engine, every frame decoded fresh.
+  const auto legacy_exports = reference_exports(trace);
 
   // Sharded pipeline, shards=1, simulation mode (same thread, same
   // cadence): must reproduce the identical export stream.
@@ -108,7 +106,9 @@ TEST(ShardedDeterminism, SingleShardMatchesLegacyEngineByteForByte) {
     meter.set_sink(
         [&](const FlowRecord& r) { sharded_exports.push_back(r); });
     engine.add_sink_factory([&](std::size_t) {
-      return [&](const TaggedPacket& t) { meter.offer(t.pkt, t.dir); };
+      return [&](const DecodedPacket& t) {
+        meter.offer(t.pkt, t.view, t.dir);
+      };
     });
     for (const auto& tagged : trace) {
       engine.offer(tagged.pkt, tagged.dir);
@@ -124,27 +124,12 @@ TEST(ShardedDeterminism, SingleShardMatchesLegacyEngineByteForByte) {
 }
 
 // The merged (canonically ordered) export is also invariant: sorting
-// the legacy stream gives exactly the sharded collector's merge — and
-// repeating the sharded run with threads reproduces the same bytes.
+// the reference stream gives exactly the sharded collector's merge —
+// and repeating the sharded run with threads reproduces the same bytes.
 TEST(ShardedDeterminism, MergedExportIsCanonical) {
   const auto trace = record_trace();
 
-  std::vector<FlowRecord> legacy_exports;
-  {
-    CaptureEngine engine;
-    FlowMeter meter;
-    meter.set_sink(
-        [&](const FlowRecord& r) { legacy_exports.push_back(r); });
-    engine.add_sink(
-        [&](const TaggedPacket& t) { meter.offer(t.pkt, t.dir); });
-    for (const auto& tagged : trace) {
-      engine.offer(tagged.pkt, tagged.dir);
-      engine.poll(64);
-    }
-    engine.drain();
-    meter.flush();
-  }
-  auto canonical = features::merge_flow_exports({legacy_exports});
+  auto canonical = features::merge_flow_exports({reference_exports(trace)});
 
   auto sharded_merged = [&] {
     ShardedCaptureConfig cfg;
@@ -153,8 +138,8 @@ TEST(ShardedDeterminism, MergedExportIsCanonical) {
     ShardedCaptureEngine engine(cfg);
     features::ShardedFlowCollector flows(cfg.shards);
     engine.add_sink_factory([&](std::size_t s) {
-      return [&flows, s](const TaggedPacket& t) {
-        flows.meter(s).offer(t.pkt, t.dir);
+      return [&flows, s](const DecodedPacket& t) {
+        flows.meter(s).offer(t.pkt, t.view, t.dir);
       };
     });
     engine.start();  // real worker this time

@@ -1,4 +1,4 @@
-// Real two-thread stress tests for SpscRing and the CaptureEngine's
+// Real two-thread stress tests for SpscRing and the capture engine's
 // live-sampled stats — the concurrency harness for the sharded capture
 // pipeline. Run these under -fsanitize=thread (CAMPUSLAB_SANITIZE) to
 // verify the memory-ordering story, not just the happy path.
@@ -10,7 +10,7 @@
 #include <thread>
 #include <vector>
 
-#include "campuslab/capture/engine.h"
+#include "campuslab/capture/sharded_engine.h"
 #include "campuslab/capture/spsc_ring.h"
 #include "campuslab/packet/builder.h"
 
@@ -91,16 +91,17 @@ TEST(SpscRingConcurrency, PushFailuresExactlyMatchConsumerGap) {
   EXPECT_GT(consumed, 0u);
 }
 
-// The satellite-5 invariant: CaptureEngine::stats() is safe to sample
-// from a third thread while both sides run, and every live snapshot
-// satisfies consumed <= offered and accepted + dropped <= offered,
-// with all counters monotone. Exact equalities hold after quiescence.
-TEST(CaptureEngineConcurrency, LiveStatsSnapshotInvariants) {
-  CaptureConfig cfg;
-  cfg.ring_capacity = 512;
-  CaptureEngine engine(cfg);
+// ShardedCaptureEngine::stats() is safe to sample from a third thread
+// while a producer and a consumer thread run on one shard (polled
+// without start()), and every live snapshot satisfies
+// consumed <= offered and accepted + dropped <= offered, with all
+// counters monotone. Exact equalities hold after quiescence.
+TEST(ShardedCaptureEngineConcurrency, LiveStatsSnapshotInvariants) {
+  ShardedCaptureEngine engine({.shards = 1, .ring_capacity = 512});
   std::uint64_t sink_count = 0;
-  engine.add_sink([&](const TaggedPacket&) { ++sink_count; });
+  engine.add_sink_factory([&](std::size_t) {
+    return [&](const DecodedPacket&) { ++sink_count; };
+  });
 
   const auto pkt =
       packet::PacketBuilder(Timestamp::from_nanos(1))
@@ -122,7 +123,7 @@ TEST(CaptureEngineConcurrency, LiveStatsSnapshotInvariants) {
   });
   std::thread consumer([&] {
     while (!producer_done.load(std::memory_order_acquire))
-      engine.poll(128);
+      engine.poll_shard(0, 128);
     engine.drain();
     consumer_done.store(true, std::memory_order_release);
   });

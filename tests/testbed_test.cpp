@@ -47,8 +47,9 @@ TEST(Testbed, ObserversSeeEveryCapturedPacket) {
   auto cfg = base_config(31002);
   Testbed bed(cfg);
   std::uint64_t observed = 0;
-  bed.add_observer(
-      [&](const capture::TaggedPacket&) { ++observed; });
+  bed.add_sink_factory([&](std::size_t) {
+    return [&](const capture::DecodedPacket&) { ++observed; };
+  });
   bed.run(Duration::seconds(5));
   EXPECT_EQ(observed, bed.capture_engine().stats().consumed);
   EXPECT_GT(observed, 500u);
