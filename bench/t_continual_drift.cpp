@@ -5,33 +5,35 @@
 //
 // Scenario: a heavy amplification campaign trains the initial model;
 // later the attacker adapts — low-rate, small-payload reflection from
-// few reflectors, sitting inside the benign DNS envelope. Two arms run
-// the identical campus:
+// few reflectors, sitting inside the benign DNS envelope. Three arms:
 //
-//   static     deploy once, never retrain
-//   continual  retrain every 15 s; promote on class-balanced accuracy
+//   static    deploy once, never retrain
+//   periodic  control::AutomationLoop, retrain every 15 s
+//   drift     control::AutomationLoop, retrain when a drift detector
+//             over the live verdict stream arms
 //
-// Reported: per-phase attack delivered fraction for both arms, plus
-// the continual loop's model-version history (the §5 "deployable
-// learning models are versioned artifacts" story made concrete).
+// Both loop arms are one AutomationConfig that differs only in its
+// trigger and check interval, so every candidate of either arm crosses
+// the same canary gate, durable versioned registry and rollback before
+// it may touch the dataplane (the §5 "deployable learning models are
+// versioned artifacts" story made concrete).
 //
-// A third arm closes the loop (control/testbed automation_loop): no
-// timer, no operator — a drift detector watches the live verdict
-// stream and, when the adapted attack is loud enough to shift it,
-// retrains, canaries, and hot-swaps through the versioned registry.
-// That arm runs a louder adapted regime (same shape, 1200 pps) because
-// supervision keys off the verdict distribution: an attack too quiet
-// to move it is also too quiet to arm retraining — so its static
+// The drift arm runs a louder adapted regime (same shape, 1200 pps)
+// because supervision keys off the verdict distribution: an attack too
+// quiet to move it is also too quiet to arm retraining — so its static
 // baseline is re-run on the identical loud campus for a fair pair.
+//
+// Reported per arm over the measured window (t=44..85 s): the drifted
+// attack's delivered fraction, benign frames filtered over benign
+// frames, and drop precision (attack frames over all frames the filter
+// dropped); per loop arm, the cycle log.
 #include <cstdio>
 #include <filesystem>
+#include <optional>
 
 #include "campuslab/testbed/automation_loop.h"
-#include "campuslab/testbed/continual.h"
 
 using namespace campuslab;
-using testbed::ContinualConfig;
-using testbed::ContinualLoop;
 using testbed::Testbed;
 using testbed::TestbedConfig;
 
@@ -61,27 +63,25 @@ TestbedConfig drift_scenario(std::uint64_t seed, double phase2_pps = 60) {
   return cfg;
 }
 
-ContinualConfig loop_config(std::uint64_t seed) {
-  ContinualConfig cfg;
-  cfg.development.teacher.n_trees = 15;
-  cfg.development.teacher.seed = seed;
-  cfg.development.extraction.student_max_depth = 5;
-  cfg.development.extraction.synthetic_samples = 3000;
-  cfg.development.extraction.seed = seed + 1;
-  cfg.development.seed = seed + 2;
-  cfg.retrain_interval = Duration::seconds(15);
+control::DevelopmentConfig development_config(std::uint64_t seed) {
+  control::DevelopmentConfig cfg;
+  cfg.teacher.n_trees = 15;
+  cfg.teacher.seed = seed;
+  cfg.extraction.student_max_depth = 5;
+  cfg.extraction.synthetic_samples = 3000;
+  cfg.extraction.seed = seed + 1;
+  cfg.seed = seed + 2;
   return cfg;
 }
 
-control::AutomationConfig automation_config(std::uint64_t seed,
-                                            std::string registry_dir) {
+/// The one loop configuration; the arms differ in trigger and cadence.
+/// Canary window, gate, reservoir and registry are the loop defaults.
+control::AutomationConfig loop_config(std::uint64_t seed,
+                                      control::RetrainTrigger trigger,
+                                      Duration check_interval,
+                                      std::string registry_dir) {
   control::AutomationConfig cfg;
-  cfg.development.teacher.n_trees = 15;
-  cfg.development.teacher.seed = seed;
-  cfg.development.extraction.student_max_depth = 5;
-  cfg.development.extraction.synthetic_samples = 3000;
-  cfg.development.extraction.seed = seed + 1;
-  cfg.development.seed = seed + 2;
+  cfg.development = development_config(seed);
   cfg.registry_directory = std::move(registry_dir);
   cfg.drift.window = 1500;
   cfg.drift.bins = 32;
@@ -89,13 +89,9 @@ control::AutomationConfig automation_config(std::uint64_t seed,
   cfg.drift.trigger_threshold = 0.2;
   cfg.drift.clear_threshold = 0.1;
   cfg.drift.trigger_windows = 2;
-  cfg.drift_check_interval = Duration::seconds(5);
-  cfg.canary_duration = Duration::seconds(5);
-  cfg.gate.min_precision = 0.6;
-  cfg.gate.min_block_rate = 0.3;
-  cfg.gate.max_benign_loss = 0.2;
-  cfg.gate.min_observed = 500;
-  cfg.min_window_rows = 200;
+  cfg.trigger = trigger;
+  cfg.check_interval = check_interval;
+  cfg.promote_margin = 0.01;
   cfg.seed = seed + 3;
   return cfg;
 }
@@ -112,117 +108,76 @@ const char* outcome_name(control::CycleOutcome outcome) {
   return "?";
 }
 
-double delivered_fraction(const sim::DeliveryAccounting& before,
-                          const sim::DeliveryAccounting& after) {
-  const auto idx =
+/// What the ingress filter did over the measured window.
+struct WindowStats {
+  double attack_delivered = 0;  // drifted-attack delivered fraction
+  std::uint64_t benign_filtered = 0;
+  std::uint64_t benign = 0;
+  std::uint64_t attack_filtered = 0;
+  std::uint64_t filtered = 0;  // every frame the filter dropped
+};
+
+WindowStats window_stats(const sim::DeliveryAccounting& before,
+                         const sim::DeliveryAccounting& after) {
+  const auto attack =
       static_cast<std::size_t>(packet::TrafficLabel::kDnsAmplification);
-  const auto delivered =
-      after.delivered.frames[idx] - before.delivered.frames[idx];
-  const auto filtered =
-      after.filtered.frames[idx] - before.filtered.frames[idx];
-  return static_cast<double>(delivered) /
-         static_cast<double>(delivered + filtered + 1);
+  const auto benign = static_cast<std::size_t>(packet::TrafficLabel::kBenign);
+  auto frames = [](const sim::StageCounters& a, const sim::StageCounters& b,
+                   std::size_t label) {
+    return a.frames[label] - b.frames[label];
+  };
+  WindowStats s;
+  const auto delivered = frames(after.delivered, before.delivered, attack);
+  s.attack_filtered = frames(after.filtered, before.filtered, attack);
+  s.attack_delivered = static_cast<double>(delivered) /
+                       static_cast<double>(delivered + s.attack_filtered + 1);
+  s.benign_filtered = frames(after.filtered, before.filtered, benign);
+  s.benign = s.benign_filtered +
+             frames(after.delivered, before.delivered, benign);
+  s.filtered =
+      after.filtered.total_frames() - before.filtered.total_frames();
+  return s;
 }
 
-}  // namespace
+/// Train once on the 20 s prefix, deploy, never retrain.
+std::optional<WindowStats> run_static(std::uint64_t seed,
+                                      double phase2_pps) {
+  Testbed bed(drift_scenario(seed, phase2_pps));
+  bed.run(Duration::seconds(20));
+  control::DevelopmentLoop dev(development_config(seed));
+  auto package = dev.run(bed.harvest_dataset());
+  if (!package.ok()) return std::nullopt;
+  auto loop = control::FastLoop::deploy(package.value());
+  if (!loop.ok()) return std::nullopt;
+  loop.value()->install(bed.network());
+  bed.run(Duration::seconds(24));
+  const auto before = bed.network().accounting();
+  bed.run(Duration::seconds(41));
+  return window_stats(before, bed.network().accounting());
+}
 
-int main() {
-  constexpr std::uint64_t kSeed = 50001;
-  // The supervised arm runs its own campus draw: drift supervision keys
-  // off the verdict distribution, and this seed's adapted flood is
-  // verdict-visible at the configured detector resolution.
-  constexpr std::uint64_t kLoudSeed = 50002;
+/// Bootstrap the loop on the 20 s prefix and let it retrain on its own;
+/// prints the arm's cycle log.
+std::optional<WindowStats> run_loop(std::uint64_t seed, double phase2_pps,
+                                    control::RetrainTrigger trigger,
+                                    Duration check_interval) {
+  const bool drift = trigger == control::RetrainTrigger::kDrift;
+  const auto registry_dir =
+      std::filesystem::temp_directory_path() / "t_drift_registry";
+  std::filesystem::remove_all(registry_dir);
+  std::filesystem::create_directories(registry_dir);
+  Testbed bed(drift_scenario(seed, phase2_pps));
+  bed.run(Duration::seconds(20));
+  control::AutomationLoop loop(
+      loop_config(seed, trigger, check_interval, registry_dir.string()),
+      bed);
+  if (!loop.start().ok()) return std::nullopt;
+  bed.run(Duration::seconds(24));
+  const auto before = bed.network().accounting();
+  bed.run(Duration::seconds(41));
+  const auto stats = window_stats(before, bed.network().accounting());
 
-  std::puts("=== T-DRIFT: static deployment vs continual learning under "
-            "attacker adaptation ===");
-  std::puts("phase 1 (t=4..18):  1200 pps x 2400 B, 400 reflectors "
-            "(training regime)");
-  std::puts("phase 2 (t=45..80):   60 pps x  300 B,  20 reflectors "
-            "(adapted: inside the benign DNS envelope)\n");
-
-  double static_phase2 = 0;
-  {
-    Testbed bed(drift_scenario(kSeed));
-    bed.run(Duration::seconds(20));
-    control::DevelopmentLoop dev(loop_config(kSeed).development);
-    auto package = dev.run(bed.harvest_dataset());
-    if (!package.ok()) return 1;
-    auto loop = control::FastLoop::deploy(package.value());
-    if (!loop.ok()) return 1;
-    loop.value()->install(bed.network());
-    bed.run(Duration::seconds(24));
-    const auto before = bed.network().accounting();
-    bed.run(Duration::seconds(41));
-    static_phase2 = delivered_fraction(before, bed.network().accounting());
-  }
-
-  double continual_phase2 = 0;
-  {
-    Testbed bed(drift_scenario(kSeed));
-    bed.run(Duration::seconds(20));
-    ContinualLoop loop(loop_config(kSeed), bed);
-    if (!loop.start().ok()) return 1;
-    bed.run(Duration::seconds(24));
-    const auto before = bed.network().accounting();
-    bed.run(Duration::seconds(41));
-    continual_phase2 =
-        delivered_fraction(before, bed.network().accounting());
-
-    std::puts("continual loop model-version history:");
-    for (const auto& v : loop.history()) {
-      std::printf("  v%-3d t=%5.0fs  candidate %.4f vs incumbent %.4f "
-                  "(balanced acc) -> %s\n",
-                  v.version, v.trained_at.to_seconds(),
-                  v.candidate_window_accuracy,
-                  v.incumbent_window_accuracy, v.note.c_str());
-    }
-  }
-
-  std::puts("\narm                    drifted-attack delivered fraction");
-  std::printf("static deployment      %.4f\n", static_phase2);
-  std::printf("continual learning     %.4f\n", continual_phase2);
-  std::printf("improvement            %.1fx less attack traffic "
-              "delivered\n",
-              static_phase2 / std::max(continual_phase2, 1e-4));
-
-  // Arm 3: the closed loop — drift-armed, canary-gated, hot-swapped
-  // through the durable versioned registry. Loud adapted regime (1200
-  // pps, same small-packet shape), with its own static baseline.
-  std::puts("\n=== closed loop: drift-supervised automation (adapted "
-            "regime at 1200 pps) ===");
-  double static_loud = 0;
-  {
-    Testbed bed(drift_scenario(kLoudSeed, 1200));
-    bed.run(Duration::seconds(20));
-    control::DevelopmentLoop dev(loop_config(kLoudSeed).development);
-    auto package = dev.run(bed.harvest_dataset());
-    if (!package.ok()) return 1;
-    auto loop = control::FastLoop::deploy(package.value());
-    if (!loop.ok()) return 1;
-    loop.value()->install(bed.network());
-    bed.run(Duration::seconds(24));
-    const auto before = bed.network().accounting();
-    bed.run(Duration::seconds(41));
-    static_loud = delivered_fraction(before, bed.network().accounting());
-  }
-
-  double automation_loud = 0;
-  {
-    const auto registry_dir =
-        std::filesystem::temp_directory_path() / "t_drift_registry";
-    std::filesystem::remove_all(registry_dir);
-    std::filesystem::create_directories(registry_dir);
-    Testbed bed(drift_scenario(kLoudSeed, 1200));
-    bed.run(Duration::seconds(20));
-    control::AutomationLoop loop(
-        automation_config(kLoudSeed, registry_dir.string()), bed);
-    if (!loop.start().ok()) return 1;
-    bed.run(Duration::seconds(24));
-    const auto before = bed.network().accounting();
-    bed.run(Duration::seconds(41));
-    automation_loud =
-        delivered_fraction(before, bed.network().accounting());
-
+  if (drift)
     std::printf("drift detector: %llu windows judged, %llu triggers, "
                 "last score distance %.4f, last rate delta %.4f\n",
                 static_cast<unsigned long long>(
@@ -230,38 +185,91 @@ int main() {
                 static_cast<unsigned long long>(loop.drift().triggers()),
                 loop.drift().last_score_distance(),
                 loop.drift().last_rate_delta());
-    std::puts("cycle log (drift-armed; every transition durable in the "
-              "registry + audit log):");
-    for (const auto& c : loop.cycles()) {
-      std::printf("  cycle %llu  candidate v%-3u %-11s %s "
-                  "(candidate %.4f vs incumbent %.4f on fresh window)\n",
-                  static_cast<unsigned long long>(c.cycle),
-                  c.candidate_version, outcome_name(c.outcome),
-                  c.error_code.empty() ? "-" : c.error_code.c_str(),
-                  c.candidate_accuracy, c.incumbent_accuracy);
-    }
-    std::printf("final: serving v%u (registry active v%u), health %s, "
-                "%zu audit events, capture drops %llu\n",
-                loop.handle().version(), loop.registry().active_version(),
-                loop.health() == control::LoopHealth::kHealthy
-                    ? "healthy"
-                    : "degraded",
-                loop.registry().audit_trail().size(),
-                static_cast<unsigned long long>(
-                    bed.capture_engine().stats().dropped));
-    std::filesystem::remove_all(registry_dir);
+  std::printf("cycle log (%s trigger, checked every %.0f s; every "
+              "transition durable in the registry + audit log):\n",
+              drift ? "drift" : "periodic", check_interval.to_seconds());
+  for (const auto& c : loop.cycles()) {
+    std::printf("  cycle %llu  candidate v%-3u %-11s %s "
+                "(candidate %.4f vs incumbent %.4f on fresh window)\n",
+                static_cast<unsigned long long>(c.cycle),
+                c.candidate_version, outcome_name(c.outcome),
+                c.error_code.empty() ? "-" : c.error_code.c_str(),
+                c.candidate_accuracy, c.incumbent_accuracy);
   }
+  std::printf("final: serving v%u (registry active v%u), health %s, "
+              "%zu audit events, capture drops %llu\n",
+              loop.handle().version(), loop.registry().active_version(),
+              loop.health() == control::LoopHealth::kHealthy ? "healthy"
+                                                             : "degraded",
+              loop.registry().audit_trail().size(),
+              static_cast<unsigned long long>(
+                  bed.capture_engine().stats().dropped));
+  std::filesystem::remove_all(registry_dir);
+  return stats;
+}
 
-  std::puts("\narm                    drifted-attack delivered fraction "
-            "(loud regime)");
-  std::printf("static deployment      %.4f\n", static_loud);
-  std::printf("automation loop        %.4f\n", automation_loud);
+void print_header() {
+  std::printf("\n%-19s %16s  %-26s  %14s\n", "arm", "attack delivered",
+              "benign filtered / benign", "drop precision");
+}
+
+void print_row(const char* arm, const WindowStats& s) {
+  std::printf("%-19s %16.4f  %6llu / %-7llu (%.5f)  ", arm,
+              s.attack_delivered,
+              static_cast<unsigned long long>(s.benign_filtered),
+              static_cast<unsigned long long>(s.benign),
+              static_cast<double>(s.benign_filtered) /
+                  static_cast<double>(s.benign + 1));
+  if (s.filtered == 0)
+    std::puts("           n/a");
+  else
+    std::printf("%14.4f\n", static_cast<double>(s.attack_filtered) /
+                                static_cast<double>(s.filtered));
+}
+
+}  // namespace
+
+int main() {
+  constexpr std::uint64_t kSeed = 50001;
+  // The drift arm runs its own campus draw: drift supervision keys off
+  // the verdict distribution, and this seed's adapted flood is
+  // verdict-visible at the configured detector resolution.
+  constexpr std::uint64_t kLoudSeed = 50002;
+
+  std::puts("=== T-DRIFT: static deployment vs periodic retraining under "
+            "attacker adaptation ===");
+  std::puts("phase 1 (t=4..18):  1200 pps x 2400 B, 400 reflectors "
+            "(training regime)");
+  std::puts("phase 2 (t=45..80):   60 pps x  300 B,  20 reflectors "
+            "(adapted: inside the benign DNS envelope)\n");
+
+  const auto static_quiet = run_static(kSeed, 60);
+  if (!static_quiet) return 1;
+  const auto periodic = run_loop(kSeed, 60,
+                                 control::RetrainTrigger::kPeriodic,
+                                 Duration::seconds(15));
+  if (!periodic) return 1;
+  print_header();
+  print_row("static deployment", *static_quiet);
+  print_row("periodic retrain", *periodic);
+
+  std::puts("\n=== closed loop: drift-supervised automation (adapted "
+            "regime at 1200 pps) ===");
+  const auto static_loud = run_static(kLoudSeed, 1200);
+  if (!static_loud) return 1;
+  const auto drift = run_loop(kLoudSeed, 1200,
+                              control::RetrainTrigger::kDrift,
+                              Duration::seconds(5));
+  if (!drift) return 1;
+  print_header();
+  print_row("static deployment", *static_loud);
+  print_row("drift-armed loop", *drift);
 
   std::puts("\nshape: the statically deployed model decays when the "
             "attacker adapts; the campus-as-testbed loop retrains from "
-            "its own labelled store and recovers within one window. The "
-            "closed loop needs no timer and no operator: the verdict "
-            "stream itself arms retraining, the canary gates the swap, "
-            "and every promotion survives a process kill.");
+            "its own labelled store, on a timer or when the verdict "
+            "stream itself arms it. Either way the canary gates the "
+            "swap, so a candidate that would shed benign traffic is "
+            "rolled back, and every promotion survives a process kill.");
   return 0;
 }

@@ -91,7 +91,10 @@ enum class AuditKind : std::uint8_t {
   kRolledBack = 2,   // canary regressed; candidate discarded
   kAborted = 3,      // a stage failed past its retry budget
   kRecovered = 4,    // restart redeployed the persisted active version
-  kDriftTrigger = 5  // detector armed; cycle beginning
+  // A cycle is beginning; the detail names what armed it
+  // (trigger=drift|periodic|manual). Name and text predate the
+  // periodic and manual triggers and stay for format stability.
+  kDriftTrigger = 5
 };
 
 std::string_view to_string(AuditKind kind) noexcept;

@@ -197,7 +197,7 @@ class IntensityEnvelope {
 /// A declarative victim set over the topology, resolved when the phase
 /// is armed. Resolution is strict: an empty result or an out-of-range
 /// index is an error with code "scenario_bad_victim" — never a silent
-/// clamp (the legacy FlashCrowdConfig::client_index footgun).
+/// clamp (the retired flash-crowd injector's client-index footgun).
 class VictimSelector {
  public:
   /// Default base set: every campus host, clients before servers (the

@@ -61,8 +61,8 @@ class CampusSimulator {
   ///
   /// Phases without an explicit seed draw campus.seed + salt, salt
   /// counting up from 101 in arming order — the exact sequence the
-  /// legacy per-category loops produced, which keeps migrated call
-  /// sites byte-identical.
+  /// retired per-category attack loops produced, which keeps the
+  /// recorded legacy stream hashes byte-identical.
   Result<std::uint32_t> add_scenario(const Scenario& scenario);
 
   CampusNetwork& network() noexcept { return *network_; }

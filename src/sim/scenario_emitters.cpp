@@ -782,7 +782,7 @@ VictimSelector victims_worm_surface() {
   return victims().worm_reachable();
 }
 
-// Defaults mirror the legacy config structs exactly; worm and
+// Defaults mirror the retired per-attack classes exactly; worm and
 // exfiltration pick rates in character for their class (a worm's
 // aggregate scan budget, a beacon every ~2s).
 const std::array<ScenarioSpec, kBehaviorKindCount> kSpecs{{

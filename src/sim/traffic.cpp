@@ -122,9 +122,10 @@ void TrafficGenerator::transfer(App& app, Endpoint sender,
                                           payload_bytes, pace_bps});
   constexpr int kBurst = 8;
 
-  // Self-passing continuation (see attacks.cpp drive()): each queued
-  // event owns its own copy of the closure, so the state dies with the
-  // last queued event instead of leaking in a shared_ptr cycle.
+  // Self-passing continuation (see drive() in scenario_emitters.cpp):
+  // each queued event owns its own copy of the closure, so the state
+  // dies with the last queued event instead of leaking in a shared_ptr
+  // cycle.
   auto step = [this, st, &app](auto self) -> void {
     const Timestamp now = net_->events().now();
     for (int i = 0; i < kBurst && st->remaining > 0; ++i) {
@@ -372,7 +373,7 @@ void TrafficGenerator::ssh_session(App& app) {
     int remaining;
   };
   auto st = std::make_shared<KeyState>(KeyState{client, server, keystrokes});
-  // Self-passing continuation (see attacks.cpp drive()) — no cycle.
+  // Self-passing continuation (see drive() in scenario_emitters.cpp).
   auto step = [this, st, &app, &rng](auto self) -> void {
     if (st->remaining-- <= 0) {
       const Timestamp t = net_->events().now();

@@ -141,7 +141,7 @@ Status AutomationLoop::start() {
     if (auto s = bootstrap_initial(); !s.ok()) return s;
   }
 
-  testbed_->network().events().schedule_in(config_.drift_check_interval,
+  testbed_->network().events().schedule_in(config_.check_interval,
                                            [this] { check_tick(); });
   return Status::success();
 }
@@ -201,14 +201,21 @@ void AutomationLoop::harvest_into_reservoir() {
 }
 
 void AutomationLoop::check_tick() {
-  testbed_->network().events().schedule_in(config_.drift_check_interval,
+  testbed_->network().events().schedule_in(config_.check_interval,
                                            [this] { check_tick(); });
   harvest_into_reservoir();
   if (pending_.has_value()) return;  // canary in flight
-  if (!drift_.triggered()) return;
-  // A failed cycle start (thin window, retries exhausted) leaves the
-  // detector armed; the next tick tries again.
-  (void)run_cycle();
+  std::string trigger = "trigger=periodic";
+  if (config_.trigger == RetrainTrigger::kDrift) {
+    if (!drift_.triggered()) return;
+    trigger = "trigger=drift score=" +
+              std::to_string(drift_.last_score_distance()) +
+              " rate_delta=" + std::to_string(drift_.last_rate_delta());
+  }
+  // A cycle refused for a thin reservoir leaves the detector armed, so
+  // the next tick tries again; an aborted cycle re-baselines it like
+  // any finished one.
+  (void)run_cycle(std::move(trigger));
 }
 
 Result<DeploymentPackage> AutomationLoop::build_package(
@@ -250,10 +257,10 @@ Result<DeploymentPackage> AutomationLoop::build_package(
 Status AutomationLoop::trigger_cycle() {
   if (!started_)
     return Error::make("loop_not_started", "call start() first");
-  return run_cycle();
+  return run_cycle("trigger=manual");
 }
 
-Status AutomationLoop::run_cycle() {
+Status AutomationLoop::run_cycle(std::string trigger) {
   if (pending_.has_value())
     return Error::make("cycle_in_progress",
                        "a canary is already running");
@@ -270,10 +277,8 @@ Status AutomationLoop::run_cycle() {
   metrics.cycles_started.increment();
   const std::uint64_t cycle = next_cycle_++;
   const auto now = testbed_->network().events().now();
-  (void)registry_->record(
-      AuditKind::kDriftTrigger, handle_.version(), now,
-      "score=" + std::to_string(drift_.last_score_distance()) +
-          " rate_delta=" + std::to_string(drift_.last_rate_delta()));
+  (void)registry_->record(AuditKind::kDriftTrigger, handle_.version(), now,
+                          std::move(trigger));
 
   auto abort_cycle = [&](std::uint32_t version, const Error& error) {
     cycles_.push_back(CycleRecord{cycle, version, CycleOutcome::kAborted,

@@ -4,11 +4,14 @@
 // the fast loop enforces, a drift detector watches the live verdict
 // stream, and when the traffic distribution moves the slow loop
 // retrains, re-extracts, re-compiles, canaries, and hot-swaps — with no
-// operator in the loop but every step auditable after the fact. This
+// operator in the loop but every step auditable after the fact. The
+// same loop also retrains on a timer (RetrainTrigger::kPeriodic, the
+// Puffer-style continual learning of the paper's §6 lineage): only what
+// arms a cycle differs, every cycle takes the same guarded route. This
 // class is that supervisor, run as a stage machine:
 //
 //        ┌────────────────────────────────────────────────────┐
-//        v                 (drift trigger)                     │
+//        v           (drift or periodic trigger)               │
 //      Idle ──> Train ──> Extract ──> Compile ──> Canary ──> Swap
 //        ^        │           │           │          │          │
 //        │        └───────────┴─────┬─────┴──────────┘          │
@@ -53,14 +56,19 @@
 
 namespace campuslab::control {
 
+/// What arms a retrain cycle at a check tick with no canary in flight:
+/// the drift detector, or every tick (periodic retraining).
+enum class RetrainTrigger { kDrift, kPeriodic };
+
 struct AutomationConfig {
   DevelopmentConfig development;
   DriftConfig drift;
   /// Registry directory; empty = ephemeral (no durability, benches).
   std::string registry_directory;
-  /// Cadence of the drift check (also the harvest cadence feeding the
-  /// training reservoir).
-  Duration drift_check_interval = Duration::seconds(5);
+  RetrainTrigger trigger = RetrainTrigger::kDrift;
+  /// Cadence of the trigger check — under kPeriodic, the retrain
+  /// period — and of the harvest feeding the training reservoir.
+  Duration check_interval = Duration::seconds(5);
   /// Mirror-only canary window before a candidate may be promoted.
   Duration canary_duration = Duration::seconds(10);
   /// An underobserved canary extends its window at most this often
@@ -74,7 +82,7 @@ struct AutomationConfig {
   /// this much (balanced accuracy) to be promoted.
   double promote_margin = 0.0;
   /// Reservoir windows with fewer labelled rows than this do not start
-  /// a cycle even when drift is armed.
+  /// a cycle even when the trigger fires.
   std::size_t min_window_rows = 500;
   /// Retraining reservoir cap: harvested windows accumulate and are
   /// down-sampled to this many rows (incremental retrain sees history
@@ -121,7 +129,7 @@ class AutomationLoop {
   /// redeployed (audited kRecovered) and training is skipped. Otherwise
   /// an initial model is built from whatever the collector holds now
   /// (promoted without a canary — there is no incumbent to protect).
-  /// Either way, the periodic drift check is scheduled before return.
+  /// Either way, the periodic trigger check is scheduled before return.
   Status start();
 
   /// Run one retrain cycle immediately (tests, benches, the crash
@@ -159,7 +167,9 @@ class AutomationLoop {
   void harvest_into_reservoir();
   void absorb_window(ml::Dataset window);
   Status bootstrap_initial();
-  Status run_cycle();
+  /// `trigger` is the audit detail of what armed the cycle
+  /// ("trigger=drift score=…", "trigger=periodic", "trigger=manual").
+  Status run_cycle(std::string trigger);
   void finish_canary();
   void finish_cycle(CycleOutcome outcome, std::string error_code);
   /// retry_status around `fn` with the stage's fault site crossed per

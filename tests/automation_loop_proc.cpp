@@ -62,7 +62,7 @@ control::AutomationConfig loop_config(std::uint64_t seed,
   cfg.development.extraction.seed = seed + 1;
   cfg.development.seed = seed + 2;
   cfg.registry_directory = std::move(registry_dir);
-  cfg.drift_check_interval = Duration::seconds(5);
+  cfg.check_interval = Duration::seconds(5);
   cfg.canary_duration = Duration::seconds(5);
   // Fully permissive gate: the cycle must march through every stage so
   // the seed-chosen kill point is always reached.

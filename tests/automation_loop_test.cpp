@@ -5,7 +5,9 @@
 // drift-triggered retraining that actually promotes, canary gate and
 // budget rollbacks that keep the incumbent, retry exhaustion degrading
 // to "keep serving the last good model", the five seeded control.*
-// fault sites ending Healthy with a model deployed, and the lock-free
+// fault sites ending Healthy with a model deployed, the periodic
+// trigger (quiet windows roll back harmlessly; under attacker drift it
+// recovers where a static deployment decays), and the lock-free
 // ModelHandle under concurrent swap/acquire (TSAN job).
 #include "campuslab/testbed/automation_loop.h"
 
@@ -13,6 +15,7 @@
 
 #include <atomic>
 #include <filesystem>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -24,12 +27,11 @@ namespace {
 namespace fs = std::filesystem;
 using packet::TrafficLabel;
 
-/// Two-phase drift scenario (mirrors continual_test): a heavy
-/// large-packet flood early, then a small-packet many-reflector flood
-/// late — the regime the phase-1 model decays on. `phase2_pps` sets
-/// how loud the drifted regime is: the drift-trigger test needs it to
-/// dominate the verdict stream; the rollback tests keep it quiet and
-/// trigger cycles explicitly.
+/// Two-phase drift scenario: a heavy large-packet flood early, then a
+/// small-packet few-reflector flood late — the regime the phase-1 model
+/// decays on. `phase2_pps` sets how loud the drifted regime is: the
+/// drift-trigger test needs it to dominate the verdict stream; the
+/// rollback tests keep it quiet and trigger cycles explicitly.
 testbed::TestbedConfig drift_scenario(std::uint64_t seed,
                                       double phase2_pps = 60) {
   testbed::TestbedConfig cfg;
@@ -71,7 +73,7 @@ AutomationConfig small_automation(std::uint64_t seed) {
   cfg.drift.clear_threshold = 0.1;
   cfg.drift.trigger_windows = 2;
 
-  cfg.drift_check_interval = Duration::seconds(5);
+  cfg.check_interval = Duration::seconds(5);
   cfg.canary_duration = Duration::seconds(5);
   cfg.gate.min_precision = 0.6;
   cfg.gate.min_block_rate = 0.3;
@@ -88,6 +90,14 @@ bool audit_has(const ModelRegistry& reg, AuditKind kind) {
   for (const auto& event : reg.audit_trail())
     if (event.kind == kind) return true;
   return false;
+}
+
+/// Detail of the latest `kind` audit event; empty when there is none.
+std::string last_audit_detail(const ModelRegistry& reg, AuditKind kind) {
+  std::string detail;
+  for (const auto& event : reg.audit_trail())
+    if (event.kind == kind) detail = event.detail;
+  return detail;
 }
 
 TEST(AutomationLoop, BootstrapTrainsAndPromotesVersionOne) {
@@ -180,6 +190,9 @@ TEST(AutomationLoop, DriftTriggersRetrainAndPromotesWithoutDroppingPackets) {
   EXPECT_EQ(loop.handle().version(), loop.registry().active_version());
   EXPECT_EQ(loop.health(), LoopHealth::kHealthy);
   EXPECT_TRUE(audit_has(loop.registry(), AuditKind::kDriftTrigger));
+  EXPECT_EQ(last_audit_detail(loop.registry(), AuditKind::kDriftTrigger)
+                .rfind("trigger=drift score=", 0),
+            0u);
 
   // Zero acked-flow loss: retraining and hot swaps never backpressured
   // the capture path into dropping.
@@ -212,6 +225,8 @@ TEST(AutomationLoop, CanaryGateFailureRollsBackAndKeepsIncumbent) {
   EXPECT_GE(loop.registry().entries().size(), 2u);
   EXPECT_EQ(loop.health(), LoopHealth::kHealthy);
   EXPECT_TRUE(audit_has(loop.registry(), AuditKind::kRolledBack));
+  EXPECT_EQ(last_audit_detail(loop.registry(), AuditKind::kDriftTrigger),
+            "trigger=manual");
 }
 
 TEST(AutomationLoop, BudgetOverrunRollsBack) {
@@ -315,6 +330,106 @@ TEST(AutomationLoop, SeededFaultsAtAllFiveSitesEndHealthy) {
     }
   }
   EXPECT_EQ(bed.capture_engine().stats().dropped, 0u);
+}
+
+// ------------------------------------------------- periodic trigger
+
+/// Retrain every 15 s through the loop's default canary and gate;
+/// promote only on a 0.01 balanced-accuracy margin.
+AutomationConfig periodic_automation(std::uint64_t seed) {
+  AutomationConfig cfg;
+  cfg.development.teacher.n_trees = 12;
+  cfg.development.teacher.seed = seed;
+  cfg.development.extraction.student_max_depth = 5;
+  cfg.development.extraction.synthetic_samples = 3000;
+  cfg.development.extraction.seed = seed + 1;
+  cfg.development.seed = seed + 2;
+  cfg.trigger = RetrainTrigger::kPeriodic;
+  cfg.check_interval = Duration::seconds(15);
+  cfg.promote_margin = 0.01;
+  return cfg;
+}
+
+TEST(AutomationLoop, PeriodicQuietWindowsAreNotFatal) {
+  auto cfg = drift_scenario(41002);
+  cfg.scenario.scenarios.pop_back();  // only phase 1
+  testbed::Testbed bed(cfg);
+  bed.run(Duration::seconds(20));  // training prefix with attack
+  AutomationLoop loop(periodic_automation(41002), bed);
+  ASSERT_TRUE(loop.start().ok());
+  bed.run(Duration::seconds(40));  // quiet: ticks at 35 s and 50 s
+
+  // Every quiet-window candidate is refused; the initial model serves.
+  ASSERT_GE(loop.cycles().size(), 2u);
+  for (const auto& cycle : loop.cycles())
+    EXPECT_NE(cycle.outcome, CycleOutcome::kPromoted)
+        << "cycle " << cycle.cycle;
+  EXPECT_EQ(loop.handle().version(), 1u);
+  EXPECT_EQ(loop.registry().active_version(), 1u);
+  EXPECT_EQ(loop.health(), LoopHealth::kHealthy);
+  EXPECT_EQ(last_audit_detail(loop.registry(), AuditKind::kDriftTrigger),
+            "trigger=periodic");
+}
+
+/// Fraction of the drifted (phase-2) attack delivered past the filter,
+/// isolated by snapshotting the accounting just before phase 2.
+double phase2_delivered_fraction(const sim::DeliveryAccounting& before,
+                                 const sim::DeliveryAccounting& after) {
+  const auto idx =
+      static_cast<std::size_t>(TrafficLabel::kDnsAmplification);
+  const auto delivered =
+      after.delivered.frames[idx] - before.delivered.frames[idx];
+  const auto filtered =
+      after.filtered.frames[idx] - before.filtered.frames[idx];
+  return static_cast<double>(delivered) /
+         static_cast<double>(delivered + filtered + 1);
+}
+
+TEST(AutomationLoop, PeriodicRecoversFromDriftWhereStaticDecays) {
+  // Arm 1: static — train once on phase 1, never retrain.
+  double static_phase2 = 0;
+  {
+    testbed::Testbed bed(drift_scenario(41003));
+    bed.run(Duration::seconds(20));
+    DevelopmentLoop dev(periodic_automation(41003).development);
+    auto package = dev.run(bed.harvest_dataset());
+    ASSERT_TRUE(package.ok()) << package.error().message;
+    auto loop = FastLoop::deploy(package.value());
+    ASSERT_TRUE(loop.ok());
+    loop.value()->install(bed.network());
+    bed.run(Duration::seconds(24));  // to t=44, just before phase 2
+    const auto before = bed.network().accounting();
+    bed.run(Duration::seconds(41));  // through phase 2
+    static_phase2 =
+        phase2_delivered_fraction(before, bed.network().accounting());
+  }
+
+  // Arm 2: periodic — same scenario, retraining every 15 s.
+  double periodic_phase2 = 0;
+  bool promoted = false;
+  std::uint32_t active_version = 0;
+  {
+    testbed::Testbed bed(drift_scenario(41003));
+    bed.run(Duration::seconds(20));
+    AutomationLoop loop(periodic_automation(41003), bed);
+    ASSERT_TRUE(loop.start().ok());
+    bed.run(Duration::seconds(24));
+    const auto before = bed.network().accounting();
+    bed.run(Duration::seconds(41));
+    periodic_phase2 =
+        phase2_delivered_fraction(before, bed.network().accounting());
+    for (const auto& cycle : loop.cycles())
+      promoted |= cycle.outcome == CycleOutcome::kPromoted;
+    active_version = loop.registry().active_version();
+  }
+
+  // The loop must have promoted at least one retrained model past the
+  // canary and let through substantially less of the drifted attack.
+  EXPECT_TRUE(promoted);
+  EXPECT_GE(active_version, 2u);  // v1 is the bootstrap, not a cycle
+  EXPECT_LT(periodic_phase2, static_phase2 * 0.7)
+      << "static=" << static_phase2 << " periodic=" << periodic_phase2;
+  EXPECT_GT(static_phase2, 0.2);  // the static model really did decay
 }
 
 // TSAN target (CI runs -R AutomationConcurrency under ThreadSanitizer):

@@ -2,14 +2,14 @@
 // algebra (then / alongside / triggered), intensity envelopes, strict
 // victim-set resolution, per-frame label + scenario-id stamping,
 // per-scenario delivery accounting, seed determinism, and the legacy
-// shim pins — the six frame-stream hashes recorded from the retired
-// per-attack classes, which the shims must reproduce byte-identically.
+// pins — the six frame-stream hashes recorded from the retired
+// per-attack classes, which the equivalent DSL chains must reproduce
+// byte-identically.
 #include <gtest/gtest.h>
 
 #include <map>
 #include <set>
 
-#include "campuslab/sim/attacks.h"
 #include "campuslab/sim/simulator.h"
 
 namespace campuslab::sim {
@@ -180,17 +180,19 @@ TEST(VictimSelectorTest, ClientIndexOutOfRangeIsAnErrorNotAClamp) {
   EXPECT_EQ(armed.error().code, "scenario_bad_victim");
 }
 
-// Regression for the legacy FlashCrowdConfig::client_index footgun: the
-// old injector silently clamped an out-of-range index onto the last
-// client; the shim now surfaces a scenario_bad_victim arming error.
+// Regression for the retired flash-crowd injector's client-index
+// footgun: it silently clamped an out-of-range index onto the last
+// client; the selector now surfaces a scenario_bad_victim arming error.
 TEST(VictimSelectorTest, LegacyFlashCrowdFootgunSurfacesAsError) {
   ScenarioConfig cfg;
   cfg.campus.seed = 22;
-  FlashCrowdConfig crowd;
-  crowd.start = Timestamp::from_seconds(1);
-  crowd.duration = Duration::seconds(4);
-  crowd.client_index = 999'999;
-  cfg.scenarios.push_back(legacy_scenario(crowd));
+  cfg.scenarios.push_back(
+      Scenario::attack(BehaviorKind::kFlashCrowd)
+          .with(FlashCrowdShape{.payload_bytes = 1200, .sources = 40})
+          .rate(3000)
+          .starting_at(Timestamp::from_seconds(1))
+          .lasting(Duration::seconds(4))
+          .against(victims().client_index(999'999)));
   CampusSimulator sim(cfg);
   ASSERT_EQ(sim.scenario_errors().size(), 1u);
   EXPECT_EQ(sim.scenario_errors()[0].code, "scenario_bad_victim");
@@ -496,11 +498,12 @@ TEST(WormBehavior, TriggeredExfilStartsAfterTheDelay) {
   EXPECT_LT(exfil_frames, 400u);
 }
 
-// --------------------------------------------------- legacy shim pins
+// -------------------------------------------------------- legacy pins
 
 // Frame-stream hashes recorded from the pre-refactor per-attack
-// classes. The shims must reproduce them byte-for-byte; a mismatch
-// means the migration changed emitted traffic.
+// classes. Each chain sets exactly the shape fields, rate, window and
+// victim the retired class used; a mismatch means the scenario layer
+// changed emitted traffic.
 void expect_pin(const char* what, const ScenarioConfig& cfg,
                 double seconds, std::uint64_t want_frames,
                 std::uint64_t want_hash) {
@@ -513,12 +516,13 @@ TEST(LegacyPins, DnsAmplificationIsByteIdentical) {
   ScenarioConfig s;
   s.campus.seed = 11;
   s.campus.diurnal = false;
-  DnsAmplificationConfig amp;
-  amp.start = Timestamp::from_seconds(2);
-  amp.duration = Duration::seconds(6);
-  amp.response_rate_pps = 500;
-  amp.response_bytes = 1200;
-  s.scenarios.push_back(legacy_scenario(amp));
+  s.scenarios.push_back(
+      Scenario::attack(BehaviorKind::kDnsAmplification)
+          .with(DnsAmplificationShape{.response_bytes = 1200,
+                                      .reflectors = 400})
+          .rate(500)
+          .starting_at(Timestamp::from_seconds(2))
+          .lasting(Duration::seconds(6)));
   expect_pin("dns_amplification", s, 10, 16291, 0xe71d29319b57249eULL);
 }
 
@@ -526,11 +530,11 @@ TEST(LegacyPins, SynFloodIsByteIdentical) {
   ScenarioConfig s;
   s.campus.seed = 12;
   s.campus.diurnal = false;
-  SynFloodConfig flood;
-  flood.start = Timestamp::from_seconds(2);
-  flood.duration = Duration::seconds(6);
-  flood.syn_rate_pps = 800;
-  s.scenarios.push_back(legacy_scenario(flood));
+  s.scenarios.push_back(Scenario::attack(BehaviorKind::kSynFlood)
+                            .with(SynFloodShape{.target_port = 443})
+                            .rate(800)
+                            .starting_at(Timestamp::from_seconds(2))
+                            .lasting(Duration::seconds(6)));
   expect_pin("syn_flood", s, 10, 15787, 0xae60df386bfa12bcULL);
 }
 
@@ -538,12 +542,11 @@ TEST(LegacyPins, PortScanIsByteIdentical) {
   ScenarioConfig s;
   s.campus.seed = 13;
   s.campus.diurnal = false;
-  PortScanConfig scan;
-  scan.start = Timestamp::from_seconds(1);
-  scan.duration = Duration::seconds(8);
-  scan.probe_rate_pps = 200;
-  scan.ports_per_host = 5;
-  s.scenarios.push_back(legacy_scenario(scan));
+  s.scenarios.push_back(Scenario::attack(BehaviorKind::kPortScan)
+                            .with(PortScanShape{.ports_per_host = 5})
+                            .rate(200)
+                            .starting_at(Timestamp::from_seconds(1))
+                            .lasting(Duration::seconds(8)));
   expect_pin("port_scan", s, 10, 13115, 0x29b05ee54e3ed1aaULL);
 }
 
@@ -551,11 +554,10 @@ TEST(LegacyPins, SshBruteForceIsByteIdentical) {
   ScenarioConfig s;
   s.campus.seed = 14;
   s.campus.diurnal = false;
-  SshBruteForceConfig brute;
-  brute.start = Timestamp::from_seconds(1);
-  brute.duration = Duration::seconds(8);
-  brute.attempts_per_second = 10;
-  s.scenarios.push_back(legacy_scenario(brute));
+  s.scenarios.push_back(Scenario::attack(BehaviorKind::kSshBruteForce)
+                            .rate(10)
+                            .starting_at(Timestamp::from_seconds(1))
+                            .lasting(Duration::seconds(8)));
   expect_pin("ssh_brute_force", s, 10, 8908, 0xe8c410bae1b439beULL);
 }
 
@@ -563,14 +565,13 @@ TEST(LegacyPins, FlashCrowdIsByteIdentical) {
   ScenarioConfig s;
   s.campus.seed = 15;
   s.campus.diurnal = false;
-  FlashCrowdConfig crowd;
-  crowd.start = Timestamp::from_seconds(1);
-  crowd.duration = Duration::seconds(5);
-  crowd.rate_pps = 600;
-  crowd.payload_bytes = 700;
-  crowd.client_index = 3;
-  crowd.sources = 12;
-  s.scenarios.push_back(legacy_scenario(crowd));
+  s.scenarios.push_back(
+      Scenario::attack(BehaviorKind::kFlashCrowd)
+          .with(FlashCrowdShape{.payload_bytes = 700, .sources = 12})
+          .rate(600)
+          .starting_at(Timestamp::from_seconds(1))
+          .lasting(Duration::seconds(5))
+          .against(victims().client_index(3)));
   expect_pin("flash_crowd", s, 8, 17850, 0x6c81650ddd09054dULL);
 }
 
@@ -578,32 +579,34 @@ TEST(LegacyPins, CombinedArmingOrderIsByteIdentical) {
   ScenarioConfig s;
   s.campus.seed = 16;
   s.campus.diurnal = false;
-  DnsAmplificationConfig amp;
-  amp.start = Timestamp::from_seconds(2);
-  amp.duration = Duration::seconds(4);
-  amp.response_rate_pps = 300;
-  s.scenarios.push_back(legacy_scenario(amp));
-  SynFloodConfig flood;
-  flood.start = Timestamp::from_seconds(3);
-  flood.duration = Duration::seconds(4);
-  flood.syn_rate_pps = 400;
-  s.scenarios.push_back(legacy_scenario(flood));
-  PortScanConfig scan;
-  scan.start = Timestamp::from_seconds(1);
-  scan.duration = Duration::seconds(6);
-  scan.probe_rate_pps = 150;
-  s.scenarios.push_back(legacy_scenario(scan));
-  SshBruteForceConfig brute;
-  brute.start = Timestamp::from_seconds(1);
-  brute.duration = Duration::seconds(6);
-  brute.attempts_per_second = 6;
-  s.scenarios.push_back(legacy_scenario(brute));
-  FlashCrowdConfig crowd;
-  crowd.start = Timestamp::from_seconds(4);
-  crowd.duration = Duration::seconds(3);
-  crowd.rate_pps = 350;
-  crowd.client_index = 2;
-  s.scenarios.push_back(legacy_scenario(crowd));
+  s.scenarios.push_back(
+      Scenario::attack(BehaviorKind::kDnsAmplification)
+          .with(DnsAmplificationShape{.response_bytes = 3000,
+                                      .reflectors = 400})
+          .rate(300)
+          .starting_at(Timestamp::from_seconds(2))
+          .lasting(Duration::seconds(4)));
+  s.scenarios.push_back(Scenario::attack(BehaviorKind::kSynFlood)
+                            .with(SynFloodShape{.target_port = 443})
+                            .rate(400)
+                            .starting_at(Timestamp::from_seconds(3))
+                            .lasting(Duration::seconds(4)));
+  s.scenarios.push_back(Scenario::attack(BehaviorKind::kPortScan)
+                            .with(PortScanShape{.ports_per_host = 12})
+                            .rate(150)
+                            .starting_at(Timestamp::from_seconds(1))
+                            .lasting(Duration::seconds(6)));
+  s.scenarios.push_back(Scenario::attack(BehaviorKind::kSshBruteForce)
+                            .rate(6)
+                            .starting_at(Timestamp::from_seconds(1))
+                            .lasting(Duration::seconds(6)));
+  s.scenarios.push_back(
+      Scenario::attack(BehaviorKind::kFlashCrowd)
+          .with(FlashCrowdShape{.payload_bytes = 1200, .sources = 40})
+          .rate(350)
+          .starting_at(Timestamp::from_seconds(4))
+          .lasting(Duration::seconds(3))
+          .against(victims().client_index(2)));
   expect_pin("combined", s, 9, 12261, 0xd3d632ca0a947d69ULL);
 }
 
