@@ -203,7 +203,7 @@ double print_parallel_sweep_table() {
   scan.min_bytes = 1'000'000'000;  // matches ~nothing: pure scan cost
   double serial_scan = 0, serial_agg = 0, speedup_at_4 = 0;
   for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
-    store::ScanPool pool(threads);
+    util::WorkPool pool(threads);
     const double scan_ms = time_best_of(5, [&] {
       benchmark::DoNotOptimize(store.query(scan, pool));
     });
@@ -233,7 +233,7 @@ void print_concurrent_ingest_query_table() {
   Rng rng(9);
   for (int i = 0; i < 500'000; ++i) store.ingest(random_flow(rng, 0));
 
-  store::ScanPool pool(4);
+  util::WorkPool pool(4);
   store::FlowQuery scan;
   scan.min_bytes = 1'000'000'000;
   const double quiesced_ms =

@@ -43,11 +43,12 @@ Result<TrainArtifacts> DevelopmentLoop::train(
   const std::int64_t t0 = now_us();
   // Quantize first so the trained thresholds live on the dataplane
   // grid: compiled verdicts are then exactly the student's.
+  // The quantized copy dies once split, before the teacher's fit.
   auto quantizer = dataplane::Quantizer::fit(packet_dataset);
-  const auto quantized = quantizer.quantize_dataset(packet_dataset);
   Rng rng(config_.seed);
   auto [train_split, test_split] =
-      quantized.stratified_split(config_.test_fraction, rng);
+      quantizer.quantize_dataset(packet_dataset)
+          .stratified_split(config_.test_fraction, rng);
 
   // Step (i): black-box teacher (family per config).
   std::shared_ptr<ml::Classifier> teacher;

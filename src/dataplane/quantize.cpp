@@ -67,6 +67,7 @@ double Quantizer::dequantize(std::size_t feature,
 
 ml::Dataset Quantizer::quantize_dataset(const ml::Dataset& data) const {
   ml::Dataset out(data.feature_names(), data.class_names());
+  out.reserve(data.n_rows());
   std::vector<double> x(data.n_features());
   for (std::size_t i = 0; i < data.n_rows(); ++i) {
     const auto row = data.row(i);

@@ -22,6 +22,18 @@ void Dataset::append(const Dataset& other) {
   y_.insert(y_.end(), other.y_.begin(), other.y_.end());
 }
 
+void Dataset::reserve(std::size_t rows) {
+  x_.reserve(rows * n_features());
+  y_.reserve(rows);
+}
+
+void Dataset::relabel(std::vector<int> labels) {
+  assert(labels.size() == n_rows());
+  assert(std::all_of(labels.begin(), labels.end(),
+                     [&](int y) { return y >= 0 && y < n_classes(); }));
+  y_ = std::move(labels);
+}
+
 Dataset Dataset::sample(std::size_t n, Rng& rng) const {
   std::vector<std::size_t> indices(n_rows());
   std::iota(indices.begin(), indices.end(), std::size_t{0});
@@ -69,9 +81,14 @@ Dataset Dataset::bootstrap(Rng& rng) const {
 }
 
 std::vector<std::size_t> Dataset::bootstrap_rows(Rng& rng) const {
-  std::vector<std::size_t> indices(n_rows());
-  for (auto& idx : indices) idx = rng.below(n_rows());
+  std::vector<std::size_t> indices;
+  bootstrap_rows(rng, indices);
   return indices;
+}
+
+void Dataset::bootstrap_rows(Rng& rng, std::vector<std::size_t>& out) const {
+  out.resize(n_rows());
+  for (auto& idx : out) idx = rng.below(n_rows());
 }
 
 std::vector<std::pair<double, double>> Dataset::feature_ranges() const {
@@ -92,8 +109,7 @@ std::vector<std::pair<double, double>> Dataset::feature_ranges() const {
 
 Dataset Dataset::subset(std::span<const std::size_t> indices) const {
   Dataset out(feature_names_, class_names_);
-  out.x_.reserve(indices.size() * n_features());
-  out.y_.reserve(indices.size());
+  out.reserve(indices.size());
   for (const auto idx : indices) out.add(row(idx), y_[idx]);
   return out;
 }
@@ -110,23 +126,29 @@ void Dataset::to_csv(std::ostream& out) const {
   }
 }
 
-FeatureRanks::FeatureRanks(const Dataset& data)
+FeatureRanks::FeatureRanks(const Dataset& data, util::WorkPool& pool)
     : n_rows_(data.n_rows()),
       levels_(data.n_features()),
       ranks_(data.n_features() * data.n_rows()) {
   assert(n_rows_ <= std::numeric_limits<std::uint32_t>::max());
-  std::vector<std::pair<double, std::uint32_t>> sorted(n_rows_);
-  for (std::size_t f = 0; f < levels_.size(); ++f) {
-    for (std::size_t i = 0; i < n_rows_; ++i)
-      sorted[i] = {data.row(i)[f], static_cast<std::uint32_t>(i)};
-    std::sort(sorted.begin(), sorted.end());
-    auto& levels = levels_[f];
-    for (const auto& [value, row] : sorted) {
-      if (levels.empty() || levels.back() != value) levels.push_back(value);
-      ranks_[f * n_rows_ + row] =
-          static_cast<std::uint32_t>(levels.size() - 1);
-    }
-  }
+  // One sort buffer per slot, allocated here on the calling thread.
+  using Keyed = std::vector<std::pair<double, std::uint32_t>>;
+  std::vector<Keyed> sorted(std::min(pool.threads(), levels_.size()),
+                            Keyed(n_rows_));
+  pool.parallel_for_slots(
+      levels_.size(), sorted.size(), [&](std::size_t slot, std::size_t f) {
+        auto& keyed = sorted[slot];
+        for (std::size_t i = 0; i < n_rows_; ++i)
+          keyed[i] = {data.row(i)[f], static_cast<std::uint32_t>(i)};
+        std::sort(keyed.begin(), keyed.end());
+        auto& levels = levels_[f];
+        for (const auto& [value, row] : keyed) {
+          if (levels.empty() || levels.back() != value)
+            levels.push_back(value);
+          ranks_[f * n_rows_ + row] =
+              static_cast<std::uint32_t>(levels.size() - 1);
+        }
+      });
 }
 
 void RankSorter::sort(std::vector<RankedRow>& keyed) {
@@ -152,6 +174,17 @@ void RankSorter::sort(std::vector<RankedRow>& keyed) {
   scratch_.resize(keyed.size());
   for (const auto& k : keyed) scratch_[counts_[k.rank - lo]++] = k;
   keyed.swap(scratch_);
+}
+
+std::size_t FeatureRanks::max_levels() const noexcept {
+  std::size_t most = 0;
+  for (const auto& levels : levels_) most = std::max(most, levels.size());
+  return most;
+}
+
+void RankSorter::reserve(std::size_t rows, std::size_t levels) {
+  scratch_.reserve(rows);
+  counts_.reserve(std::min(rows, levels));  // counting sort: span <= rows
 }
 
 int Classifier::predict(std::span<const double> x) const {

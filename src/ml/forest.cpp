@@ -1,11 +1,12 @@
 #include "campuslab/ml/forest.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 
 namespace campuslab::ml {
 
-void RandomForest::fit(const Dataset& data) {
+void RandomForest::fit(const Dataset& data, util::WorkPool& pool) {
   assert(data.n_rows() > 0);
   trees_.clear();
   n_classes_ = data.n_classes();
@@ -17,22 +18,42 @@ void RandomForest::fit(const Dataset& data) {
           : static_cast<std::size_t>(
                 std::max(1.0, std::floor(std::sqrt(
                                   static_cast<double>(data.n_features())))));
+  TreeConfig tc;
+  tc.max_depth = config_.max_depth;
+  tc.min_samples_leaf = config_.min_samples_leaf;
+  tc.features_per_split = mtry;
 
   // One rank table for every tree: each fits its bootstrap draw
   // through a row map instead of a copied, re-ranked sample.
-  const FeatureRanks ranks(data);
-  trees_.reserve(static_cast<std::size_t>(config_.n_trees));
-  for (int t = 0; t < config_.n_trees; ++t) {
-    Rng tree_rng = rng.fork(static_cast<std::uint64_t>(t) + 1);
-    const auto rows = data.bootstrap_rows(tree_rng);
-    TreeConfig tc;
-    tc.max_depth = config_.max_depth;
-    tc.min_samples_leaf = config_.min_samples_leaf;
-    tc.features_per_split = mtry;
-    DecisionTree tree(tc);
-    tree.fit(data, ranks, rows, &tree_rng);
-    trees_.push_back(std::move(tree));
+  const FeatureRanks ranks(data, pool);
+  const auto n_trees = static_cast<std::size_t>(std::max(config_.n_trees, 0));
+  // Every tree's generator is forked before any tree is fitted, in tree
+  // order — the parent draws exactly as a serial loop makes them — so
+  // a tree does not depend on which worker fits it, or when.
+  std::vector<Rng> tree_rngs;
+  tree_rngs.reserve(n_trees);
+  for (std::size_t t = 0; t < n_trees; ++t)
+    tree_rngs.push_back(rng.fork(static_cast<std::uint64_t>(t) + 1));
+
+  // One set of buffers per worker, reserved here on the calling thread
+  // and reused by every tree that worker fits.
+  struct Worker {
+    std::vector<std::size_t> rows;  // the bootstrap draw
+    TreeScratch scratch;
+  };
+  std::vector<Worker> workers(std::min(pool.threads(), n_trees));
+  for (auto& w : workers) {
+    w.rows.reserve(data.n_rows());
+    w.scratch.reserve(ranks, data.n_rows());
   }
+  trees_.assign(n_trees, DecisionTree(tc));
+  pool.parallel_for_slots(n_trees, workers.size(),
+                          [&](std::size_t slot, std::size_t t) {
+                            auto& w = workers[slot];
+                            data.bootstrap_rows(tree_rngs[t], w.rows);
+                            trees_[t].fit(data, ranks, w.rows,
+                                          &tree_rngs[t], w.scratch);
+                          });
 }
 
 std::vector<double> RandomForest::predict_proba(

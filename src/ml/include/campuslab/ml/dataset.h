@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "campuslab/util/rng.h"
+#include "campuslab/util/work_pool.h"
 
 namespace campuslab::ml {
 
@@ -31,6 +32,14 @@ class Dataset {
   /// Append every row of `other` (the continual-learning reservoir
   /// merge). Precondition: identical feature count and class count.
   void append(const Dataset& other);
+
+  /// Room for `rows` rows in total, so a dataset filled to a known size
+  /// grows its matrix once instead of by doubling.
+  void reserve(std::size_t rows);
+
+  /// Replace every row's label (an oracle's answers, computed after
+  /// the rows). Precondition: labels.size() == n_rows, each in range.
+  void relabel(std::vector<int> labels);
 
   /// Uniform random sample of `n` rows without replacement (all rows
   /// when n >= n_rows). Deterministic in `rng`.
@@ -67,6 +76,8 @@ class Dataset {
   /// The row indices `bootstrap` draws, in draw order: the same rng
   /// calls, without copying the rows.
   std::vector<std::size_t> bootstrap_rows(Rng& rng) const;
+  /// The same draw into `out`, reusing its storage.
+  void bootstrap_rows(Rng& rng, std::vector<std::size_t>& out) const;
 
   /// Per-feature observed [min, max] — the sampling box for the
   /// XAI extractor's synthetic queries.
@@ -97,9 +108,11 @@ struct RankedRow {
 /// values (its levels) and every row's index into them. Built with one
 /// (value, row) sort per feature, so split searches can order a node's
 /// rows by rank with a counting sort instead of re-sorting values.
+/// Features are ranked independently, spread over `pool`.
 class FeatureRanks {
  public:
-  explicit FeatureRanks(const Dataset& data);
+  explicit FeatureRanks(const Dataset& data,
+                        util::WorkPool& pool = util::WorkPool::shared());
 
   std::uint32_t rank(std::size_t feature, std::size_t row) const noexcept {
     return ranks_[feature * n_rows_ + row];
@@ -113,6 +126,8 @@ class FeatureRanks {
   double value(std::size_t feature, std::size_t row) const noexcept {
     return level(feature, rank(feature, row));
   }
+  /// The most levels any one feature has (bounds a node's rank span).
+  std::size_t max_levels() const noexcept;
 
  private:
   std::size_t n_rows_;
@@ -131,6 +146,10 @@ class RankSorter {
  public:
   /// Precondition: the `row` fields of `keyed` ascend.
   void sort(std::vector<RankedRow>& keyed);
+
+  /// Room to sort `rows` rows spanning at most `levels` ranks without
+  /// growing a buffer.
+  void reserve(std::size_t rows, std::size_t levels);
 
  private:
   std::vector<RankedRow> scratch_;

@@ -25,7 +25,10 @@ class RandomForest final : public Classifier {
  public:
   explicit RandomForest(ForestConfig config = {}) : config_(config) {}
 
-  void fit(const Dataset& data);
+  /// Fits the trees in parallel over `pool`; the forest is the same
+  /// at any pool size.
+  void fit(const Dataset& data,
+           util::WorkPool& pool = util::WorkPool::shared());
 
   std::vector<double> predict_proba(
       std::span<const double> x) const override;

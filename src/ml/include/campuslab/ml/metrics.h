@@ -44,6 +44,11 @@ class ConfusionMatrix {
 /// Evaluate a classifier over a dataset.
 ConfusionMatrix evaluate(const Classifier& model, const Dataset& data);
 
+/// model.predict() of every row of `data`, by row index. Rows are
+/// predicted in chunks spread over `pool`.
+std::vector<int> predict_all(const Classifier& model, const Dataset& data,
+                             util::WorkPool& pool = util::WorkPool::shared());
+
 /// Binary ROC-AUC from scores (higher = more positive). Rank-based
 /// (Mann-Whitney), ties handled by midrank. Returns 0.5 when one class
 /// is absent.

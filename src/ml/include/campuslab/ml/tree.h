@@ -41,15 +41,44 @@ struct TreeNode {
   bool is_leaf() const noexcept { return feature == kLeaf; }
 };
 
+/// The buffers of one tree fit: per-row state and one split-search
+/// scan per slot. Reusable across fits — a forest worker keeps one and
+/// fits tree after tree with it. Reserve it on the thread that owns
+/// the memory: buffers grown inside a pool worker stay resident in that
+/// worker's malloc arena.
+class TreeScratch {
+ public:
+  /// Room for fits of up to `rows` rows ranked by `ranks`, searching
+  /// up to `scans` features at once.
+  void reserve(const FeatureRanks& ranks, std::size_t rows,
+               std::size_t scans = 1);
+
+ private:
+  friend class DecisionTree;
+  struct Scan {
+    std::vector<RankedRow> keyed;  // (rank, node index), by rank
+    RankSorter sorter;
+    std::vector<double> left_counts;
+  };
+  std::vector<double> weights;         // per node index
+  std::vector<int> labels;             // per node index
+  std::vector<std::uint32_t> indices;  // node ranges, each ascending
+  std::vector<std::uint32_t> spill;    // right half of a partition
+  std::vector<Scan> scans = std::vector<Scan>(1);
+};
+
 class DecisionTree final : public Classifier {
  public:
   explicit DecisionTree(TreeConfig config = {}) : config_(config) {}
 
   /// Fit on `data`; optional per-row weights (used by boosting and the
   /// XAI extractor's resampling). `rng` is only consulted when
-  /// features_per_split > 0.
+  /// features_per_split > 0. Large nodes search their candidate
+  /// features in parallel over `pool`; the tree is the same at any
+  /// pool size.
   void fit(const Dataset& data, Rng* rng = nullptr,
-           std::span<const double> sample_weights = {});
+           std::span<const double> sample_weights = {},
+           util::WorkPool& pool = util::WorkPool::shared());
 
   /// Fit on the rows `rows` of `data` (repeats allowed, e.g. a
   /// bootstrap draw), ordering splits by the precomputed `ranks` of
@@ -57,6 +86,10 @@ class DecisionTree final : public Classifier {
   /// copying rows or re-ranking — a forest ranks its data once.
   void fit(const Dataset& data, const FeatureRanks& ranks,
            std::span<const std::size_t> rows, Rng* rng = nullptr);
+  /// The same fit through caller-owned buffers (serial split search).
+  void fit(const Dataset& data, const FeatureRanks& ranks,
+           std::span<const std::size_t> rows, Rng* rng,
+           TreeScratch& scratch);
 
   std::vector<double> predict_proba(
       std::span<const double> x) const override;
@@ -101,11 +134,11 @@ class DecisionTree final : public Classifier {
 
   void fit_rows(const Dataset& data, const FeatureRanks& ranks,
                 std::span<const std::size_t> rows,
-                std::span<const double> weights, Rng* rng);
-  int build(FitState& state, std::vector<std::uint32_t>& indices,
-            int depth);
+                std::span<const double> weights, Rng* rng,
+                TreeScratch& scratch, util::WorkPool* pool);
+  int build(FitState& state, std::size_t begin, std::size_t end, int depth);
   SplitDecision best_split(FitState& state,
-                           const std::vector<std::uint32_t>& indices) const;
+                           std::span<const std::uint32_t> indices) const;
 
   TreeConfig config_;
   std::vector<TreeNode> nodes_;

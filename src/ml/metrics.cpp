@@ -91,6 +91,20 @@ ConfusionMatrix evaluate(const Classifier& model, const Dataset& data) {
   return cm;
 }
 
+std::vector<int> predict_all(const Classifier& model, const Dataset& data,
+                             util::WorkPool& pool) {
+  constexpr std::size_t kChunkRows = 4096;
+  std::vector<int> predicted(data.n_rows());
+  pool.parallel_for((data.n_rows() + kChunkRows - 1) / kChunkRows,
+                    [&](std::size_t chunk) {
+                      const std::size_t end = std::min(
+                          (chunk + 1) * kChunkRows, data.n_rows());
+                      for (std::size_t i = chunk * kChunkRows; i < end; ++i)
+                        predicted[i] = model.predict(data.row(i));
+                    });
+  return predicted;
+}
+
 double roc_auc(std::span<const double> scores,
                std::span<const int> labels) {
   assert(scores.size() == labels.size());

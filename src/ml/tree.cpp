@@ -23,67 +23,102 @@ double gini(const std::vector<double>& counts, double total) {
   return 1.0 - sum_sq;
 }
 
+// Nodes smaller than this search their features serially: waking the
+// pool costs more than it saves on a small scan.
+constexpr std::size_t kParallelScanRows = 2048;
+
 }  // namespace
 
+void TreeScratch::reserve(const FeatureRanks& ranks, std::size_t rows,
+                          std::size_t scans) {
+  weights.reserve(rows);
+  labels.reserve(rows);
+  indices.reserve(rows);
+  spill.reserve(rows);
+  this->scans.resize(std::max<std::size_t>(scans, 1));
+  for (auto& scan : this->scans) {
+    scan.keyed.reserve(rows);
+    scan.sorter.reserve(rows, ranks.max_levels());
+  }
+}
+
 /// Everything a fit threads through the recursion: the training rows
-/// seen through the row map, and buffers reused node to node.
+/// seen through the row map, and the scratch buffers.
 struct DecisionTree::FitState {
   const Dataset& data;
   const FeatureRanks& ranks;
   std::span<const std::size_t> rows;  // node index -> data row
   std::span<const double> weights;    // per node index
   Rng* rng;
-  std::vector<int> labels = {};  // per node index
-  std::vector<RankedRow> keyed = {};
-  RankSorter sorter = {};
+  TreeScratch& scratch;
+  util::WorkPool* pool;  // nullptr: one scan slot, searched serially
 };
 
 void DecisionTree::fit(const Dataset& data, Rng* rng,
-                       std::span<const double> sample_weights) {
+                       std::span<const double> sample_weights,
+                       util::WorkPool& pool) {
   assert(data.n_rows() > 0);
-  std::vector<double> weights;
+  // Ranks first: their sort buffers are gone before the scratch exists.
+  const FeatureRanks ranks(data, pool);
+  TreeScratch scratch;
+  scratch.reserve(ranks, data.n_rows(),
+                  std::min(pool.threads(), data.n_features()));
   if (sample_weights.empty()) {
-    weights.assign(data.n_rows(), 1.0);
-    sample_weights = weights;
+    scratch.weights.assign(data.n_rows(), 1.0);
+    sample_weights = scratch.weights;
   }
   assert(sample_weights.size() == data.n_rows());
   std::vector<std::size_t> rows(data.n_rows());
   std::iota(rows.begin(), rows.end(), std::size_t{0});
-  fit_rows(data, FeatureRanks(data), rows, sample_weights, rng);
+  fit_rows(data, ranks, rows, sample_weights, rng, scratch, &pool);
 }
 
 void DecisionTree::fit(const Dataset& data, const FeatureRanks& ranks,
                        std::span<const std::size_t> rows, Rng* rng) {
+  TreeScratch scratch;
+  scratch.reserve(ranks, rows.size());
+  fit(data, ranks, rows, rng, scratch);
+}
+
+void DecisionTree::fit(const Dataset& data, const FeatureRanks& ranks,
+                       std::span<const std::size_t> rows, Rng* rng,
+                       TreeScratch& scratch) {
   assert(!rows.empty());
-  const std::vector<double> weights(rows.size(), 1.0);
-  fit_rows(data, ranks, rows, weights, rng);
+  scratch.weights.assign(rows.size(), 1.0);
+  fit_rows(data, ranks, rows, scratch.weights, rng, scratch, nullptr);
 }
 
 void DecisionTree::fit_rows(const Dataset& data, const FeatureRanks& ranks,
                             std::span<const std::size_t> rows,
-                            std::span<const double> weights, Rng* rng) {
+                            std::span<const double> weights, Rng* rng,
+                            TreeScratch& scratch, util::WorkPool* pool) {
   nodes_.clear();
   n_classes_ = data.n_classes();
   feature_names_ = data.feature_names();
   class_names_ = data.class_names();
 
-  FitState state{data, ranks, rows, weights, rng};
-  state.labels.reserve(rows.size());
-  for (const auto row : rows) state.labels.push_back(data.label(row));
+  FitState state{data, ranks, rows, weights, rng, scratch, pool};
+  scratch.labels.clear();
+  for (const auto row : rows) scratch.labels.push_back(data.label(row));
   // Node indices stay ascending through every partition, which is what
   // lets the rank sort reproduce (value, row) order.
-  std::vector<std::uint32_t> indices(rows.size());
-  std::iota(indices.begin(), indices.end(), std::uint32_t{0});
-  build(state, indices, 0);
+  scratch.indices.resize(rows.size());
+  std::iota(scratch.indices.begin(), scratch.indices.end(),
+            std::uint32_t{0});
+  build(state, 0, rows.size(), 0);
 }
 
-int DecisionTree::build(FitState& state, std::vector<std::uint32_t>& indices,
+int DecisionTree::build(FitState& state, std::size_t begin, std::size_t end,
                         int depth) {
+  auto& indices = state.scratch.indices;
+  const auto node_indices =
+      std::span<const std::uint32_t>(indices).subspan(begin, end - begin);
   // Node class distribution.
   std::vector<double> counts(static_cast<std::size_t>(n_classes_), 0.0);
   double total = 0.0;
-  for (const auto i : indices) {
-    counts[static_cast<std::size_t>(state.labels[i])] += state.weights[i];
+  for (const auto i : node_indices) {
+    counts[static_cast<std::size_t>(state.scratch.labels[i])] +=
+        state.weights[i];
     total += state.weights[i];
   }
 
@@ -91,7 +126,7 @@ int DecisionTree::build(FitState& state, std::vector<std::uint32_t>& indices,
   nodes_.emplace_back();
   {
     auto& node = nodes_.back();
-    node.samples = indices.size();
+    node.samples = node_indices.size();
     node.class_probs.resize(counts.size());
     for (std::size_t c = 0; c < counts.size(); ++c)
       node.class_probs[c] = total > 0 ? counts[c] / total : 0.0;
@@ -101,46 +136,49 @@ int DecisionTree::build(FitState& state, std::vector<std::uint32_t>& indices,
       std::count_if(counts.begin(), counts.end(),
                     [](double c) { return c > 0.0; }) <= 1;
   if (pure || depth >= config_.max_depth ||
-      indices.size() < 2 * config_.min_samples_leaf) {
+      node_indices.size() < 2 * config_.min_samples_leaf) {
     return node_index;  // leaf (feature stays kLeaf)
   }
 
-  const auto split = best_split(state, indices);
+  const auto split = best_split(state, node_indices);
   if (split.feature < 0 || split.gain < config_.min_gain)
     return node_index;
 
   // Partition on the value, not the rank: the midpoint of two adjacent
   // doubles can round to the upper one, and deployed trees compare
-  // values against exactly this threshold.
+  // values against exactly this threshold. Stable and in place: left
+  // rows compact to the front, right rows go through the spill buffer
+  // behind them, so both halves keep ascending order.
   const auto f = static_cast<std::size_t>(split.feature);
-  std::vector<std::uint32_t> left_idx, right_idx;
-  left_idx.reserve(indices.size());
-  right_idx.reserve(indices.size());
-  for (const auto i : indices) {
-    (state.ranks.value(f, state.rows[i]) <= split.threshold ? left_idx
-                                                            : right_idx)
-        .push_back(i);
+  auto& spill = state.scratch.spill;
+  spill.clear();
+  std::size_t mid = begin;
+  for (std::size_t k = begin; k < end; ++k) {
+    const auto i = indices[k];
+    if (state.ranks.value(f, state.rows[i]) <= split.threshold)
+      indices[mid++] = i;
+    else
+      spill.push_back(i);
   }
-  if (left_idx.size() < config_.min_samples_leaf ||
-      right_idx.size() < config_.min_samples_leaf) {
+  std::copy(spill.begin(), spill.end(),
+            indices.begin() + static_cast<std::ptrdiff_t>(mid));
+  if (mid - begin < config_.min_samples_leaf ||
+      end - mid < config_.min_samples_leaf) {
     return node_index;
   }
-
-  indices.clear();
-  indices.shrink_to_fit();  // release before recursing
 
   // Recurse; the vector may reallocate, so set fields via index.
   nodes_[static_cast<std::size_t>(node_index)].feature = split.feature;
   nodes_[static_cast<std::size_t>(node_index)].threshold = split.threshold;
-  const int left = build(state, left_idx, depth + 1);
+  const int left = build(state, begin, mid, depth + 1);
   nodes_[static_cast<std::size_t>(node_index)].left = left;
-  const int right = build(state, right_idx, depth + 1);
+  const int right = build(state, mid, end, depth + 1);
   nodes_[static_cast<std::size_t>(node_index)].right = right;
   return node_index;
 }
 
 DecisionTree::SplitDecision DecisionTree::best_split(
-    FitState& state, const std::vector<std::uint32_t>& indices) const {
+    FitState& state, std::span<const std::uint32_t> indices) const {
   const std::size_t n_features = state.data.n_features();
 
   // Candidate features: all, or a random subset of size
@@ -162,29 +200,31 @@ DecisionTree::SplitDecision DecisionTree::best_split(
                                     0.0);
   double total_weight = 0.0;
   for (const auto i : indices) {
-    parent_counts[static_cast<std::size_t>(state.labels[i])] +=
+    parent_counts[static_cast<std::size_t>(state.scratch.labels[i])] +=
         state.weights[i];
     total_weight += state.weights[i];
   }
   const double parent_gini = gini(parent_counts, total_weight);
 
-  SplitDecision best;
-  auto& sorted = state.keyed;  // (rank, node index), by rank
-  std::vector<double> left_counts(static_cast<std::size_t>(n_classes_));
-
-  for (std::size_t fi = 0; fi < consider; ++fi) {
+  // Each candidate's best threshold lands in its own slot of `found`.
+  std::vector<SplitDecision> found(consider);
+  const auto scan_feature = [&](std::size_t slot, std::size_t fi) {
     const std::size_t f = features[fi];
+    auto& scan = state.scratch.scans[slot];
+    auto& sorted = scan.keyed;
     sorted.clear();
     for (const auto i : indices)
       sorted.push_back({state.ranks.rank(f, state.rows[i]), i});
-    state.sorter.sort(sorted);
-    if (sorted.front().rank == sorted.back().rank) continue;  // constant
+    scan.sorter.sort(sorted);
+    if (sorted.front().rank == sorted.back().rank) return;  // constant
 
-    std::fill(left_counts.begin(), left_counts.end(), 0.0);
+    auto& left_counts = scan.left_counts;
+    left_counts.assign(static_cast<std::size_t>(n_classes_), 0.0);
     double left_weight = 0.0;
+    SplitDecision& best = found[fi];
     for (std::size_t k = 0; k + 1 < sorted.size(); ++k) {
       const auto i = sorted[k].row;
-      left_counts[static_cast<std::size_t>(state.labels[i])] +=
+      left_counts[static_cast<std::size_t>(state.scratch.labels[i])] +=
           state.weights[i];
       left_weight += state.weights[i];
       // Valid threshold only between distinct values.
@@ -215,7 +255,23 @@ DecisionTree::SplitDecision DecisionTree::best_split(
         best.gain = gain;
       }
     }
+  };
+  const std::size_t slots =
+      state.pool != nullptr && indices.size() >= kParallelScanRows
+          ? std::min(state.scratch.scans.size(), consider)
+          : 1;
+  if (slots > 1) {
+    state.pool->parallel_for_slots(consider, slots, scan_feature);
+  } else {
+    for (std::size_t fi = 0; fi < consider; ++fi) scan_feature(0, fi);
   }
+
+  // Reduce in candidate order with the scan's own strict comparison:
+  // the first candidate reaching the highest gain wins, exactly as one
+  // serial scan over all candidates picks it.
+  SplitDecision best;
+  for (const auto& candidate : found)
+    if (candidate.gain > best.gain) best = candidate;
   return best;
 }
 

@@ -59,10 +59,10 @@ DataStore::DataStore(DataStoreConfig config) : config_(config) {
 
 DataStore::~DataStore() = default;
 
-ScanPool* DataStore::configured_pool() const {
+util::WorkPool* DataStore::configured_pool() const {
   if (config_.query_threads <= 1) return nullptr;
   std::call_once(pool_once_, [this] {
-    pool_ = std::make_unique<ScanPool>(config_.query_threads);
+    pool_ = std::make_unique<util::WorkPool>(config_.query_threads);
   });
   return pool_.get();
 }
@@ -172,7 +172,8 @@ QueryResult DataStore::query(const FlowQuery& q) const {
   return result;
 }
 
-QueryResult DataStore::query(const FlowQuery& q, ScanPool& pool) const {
+QueryResult DataStore::query(const FlowQuery& q,
+                             util::WorkPool& pool) const {
   resilience::fault_point("store.query");
   const auto t0 = obs::monotonic_ns();
   auto result = execute_query(snapshot(), q, &pool);
@@ -194,7 +195,7 @@ AggregateResult DataStore::aggregate(const FlowQuery& q, GroupBy group_by,
 
 AggregateResult DataStore::aggregate(const FlowQuery& q, GroupBy group_by,
                                      std::size_t top_k,
-                                     ScanPool& pool) const {
+                                     util::WorkPool& pool) const {
   resilience::fault_point("store.query");
   const auto t0 = obs::monotonic_ns();
   auto result = execute_aggregate(snapshot(), q, group_by, top_k, &pool);

@@ -35,9 +35,11 @@
 #include "campuslab/store/query_result.h"
 #include "campuslab/store/snapshot.h"
 
-namespace campuslab::store {
+namespace campuslab::util {
+class WorkPool;
+}  // namespace campuslab::util
 
-class ScanPool;
+namespace campuslab::store {
 
 struct DataStoreConfig {
   std::size_t segment_flows = 50'000;  // rotate after this many flows
@@ -110,7 +112,7 @@ class DataStore {
 
   /// Same, fanning out over an explicit pool (bench thread sweeps,
   /// callers sharing one pool across stores).
-  QueryResult query(const FlowQuery& q, ScanPool& pool) const;
+  QueryResult query(const FlowQuery& q, util::WorkPool& pool) const;
 
   /// Log events matching `q`, copied out under the store mutex.
   LogResult query_logs(const LogQuery& q) const;
@@ -120,7 +122,7 @@ class DataStore {
   AggregateResult aggregate(const FlowQuery& q, GroupBy group_by,
                             std::size_t top_k = 0) const;
   AggregateResult aggregate(const FlowQuery& q, GroupBy group_by,
-                            std::size_t top_k, ScanPool& pool) const;
+                            std::size_t top_k, util::WorkPool& pool) const;
 
   /// Streaming evaluation: pins a snapshot now, walks it row by row
   /// without materializing (million-flow scans in O(1) memory).
@@ -171,7 +173,7 @@ class DataStore {
   StoreSnapshot snapshot_locked() const;
   static void index_flow(Segment& seg, const StoredFlow& stored,
                          std::uint32_t offset);
-  ScanPool* configured_pool() const;
+  util::WorkPool* configured_pool() const;
   /// Serialize one sealed hot segment and swap it cold. False = the
   /// write kept failing and the segment stays hot.
   bool spill_segment(const std::shared_ptr<Segment>& victim);
@@ -188,7 +190,7 @@ class DataStore {
   std::array<std::uint64_t, packet::kTrafficLabelCount> label_counts_{};
   // Lazily created on the first parallel query (query_threads > 1).
   mutable std::once_flag pool_once_;
-  mutable std::unique_ptr<ScanPool> pool_;
+  mutable std::unique_ptr<util::WorkPool> pool_;
 };
 
 }  // namespace campuslab::store

@@ -1,7 +1,7 @@
 // Segment-parallel query execution.
 //
 // The executor takes a pinned StoreSnapshot and fans scan work out
-// across a ScanPool — one task per segment, index pre-filter per
+// across a util::WorkPool — one task per segment, index pre-filter per
 // sealed segment, results merged back in ingest order — so a query's
 // wall clock is bounded by its largest segment, not by the store. The
 // whole thing runs lock-free against the snapshot and therefore fully
@@ -14,77 +14,27 @@
 // what the concurrency tests pin (parallel == quiesced serial).
 #pragma once
 
-#include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <functional>
-#include <memory>
-#include <mutex>
-#include <thread>
 #include <vector>
 
 #include "campuslab/store/aggregate.h"
 #include "campuslab/store/query_result.h"
+#include "campuslab/util/work_pool.h"
 
 namespace campuslab::store {
-
-/// A small pool of persistent scan workers. parallel_for(n, fn) runs
-/// fn(0..n-1) across the workers *and the calling thread*, blocking
-/// until every index completes; `threads` is the total parallelism
-/// (threads-1 workers are spawned). Concurrent parallel_for calls
-/// from different query threads serialize on the submit lock — each
-/// query still fans out, they just take turns owning the pool.
-/// `fn` must not throw.
-class ScanPool {
- public:
-  explicit ScanPool(std::size_t threads);
-  ~ScanPool();
-
-  ScanPool(const ScanPool&) = delete;
-  ScanPool& operator=(const ScanPool&) = delete;
-
-  std::size_t threads() const noexcept { return workers_.size() + 1; }
-
-  void parallel_for(std::size_t n,
-                    const std::function<void(std::size_t)>& fn);
-
- private:
-  // One submitted job. Work claiming goes through the task's own
-  // atomics (shared_ptr-held), never through pool-level state: a
-  // worker that wakes late and still holds a drained task claims
-  // next >= n and retires — it can never claim indices of a *newer*
-  // job or touch a caller's destroyed closure.
-  struct Task {
-    const std::function<void(std::size_t)>* fn = nullptr;
-    std::size_t n = 0;
-    std::atomic<std::size_t> next{0};
-    std::atomic<std::size_t> done{0};
-  };
-
-  void worker_loop();
-
-  std::mutex submit_mu_;  // one job in flight at a time
-  std::mutex mu_;
-  std::condition_variable work_cv_;
-  std::condition_variable done_cv_;
-  std::shared_ptr<Task> task_;  // current job, guarded by mu_
-  std::uint64_t generation_ = 0;
-  bool stop_ = false;
-  std::vector<std::thread> workers_;
-};
 
 /// Evaluate `q` against `snapshot`, fanning segment scans over `pool`
 /// (nullptr or a 1-thread pool = serial on the calling thread). Rows
 /// come back in ingest order; `q.limit` caps them.
 QueryResult execute_query(StoreSnapshot snapshot, const FlowQuery& q,
-                          ScanPool* pool);
+                          util::WorkPool* pool);
 
 /// Group-by aggregation over every flow matching `q` (the query limit
 /// is ignored: aggregation consumes all matches). top_k > 0 keeps only
 /// the K heaviest rows by bytes.
 AggregateResult execute_aggregate(StoreSnapshot snapshot,
                                   const FlowQuery& q, GroupBy group_by,
-                                  std::size_t top_k, ScanPool* pool);
+                                  std::size_t top_k, util::WorkPool* pool);
 
 /// Resumable serial scan — the StoreShard chunk primitive. Returns up
 /// to `max_rows` flows matching `q` with id > after_id, copied out by

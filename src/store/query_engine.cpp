@@ -7,85 +7,6 @@
 
 namespace campuslab::store {
 
-// ------------------------------------------------------------ ScanPool
-
-ScanPool::ScanPool(std::size_t threads) {
-  if (threads == 0) threads = 1;
-  workers_.reserve(threads - 1);
-  for (std::size_t i = 0; i + 1 < threads; ++i)
-    workers_.emplace_back([this] { worker_loop(); });
-}
-
-ScanPool::~ScanPool() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    stop_ = true;
-  }
-  work_cv_.notify_all();
-  for (auto& w : workers_) w.join();
-}
-
-void ScanPool::worker_loop() {
-  std::uint64_t seen = 0;
-  for (;;) {
-    std::shared_ptr<Task> task;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      work_cv_.wait(lock, [&] {
-        return stop_ || (generation_ != seen && task_ != nullptr);
-      });
-      if (stop_) return;
-      seen = generation_;
-      task = task_;
-    }
-    for (;;) {
-      const std::size_t i =
-          task->next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= task->n) break;
-      (*task->fn)(i);
-      if (task->done.fetch_add(1, std::memory_order_acq_rel) + 1 ==
-          task->n) {
-        std::lock_guard<std::mutex> lock(mu_);  // pair with the waiter
-        done_cv_.notify_all();
-      }
-    }
-  }
-}
-
-void ScanPool::parallel_for(std::size_t n,
-                            const std::function<void(std::size_t)>& fn) {
-  if (n == 0) return;
-  if (workers_.empty()) {
-    for (std::size_t i = 0; i < n; ++i) fn(i);
-    return;
-  }
-  std::lock_guard<std::mutex> submit_lock(submit_mu_);
-  // `fn` outlives the task: every index is claimed-then-completed
-  // before the done-wait below returns, and late workers holding the
-  // drained task see next >= n and never touch fn again.
-  auto task = std::make_shared<Task>();
-  task->fn = &fn;
-  task->n = n;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    task_ = task;
-    ++generation_;
-  }
-  work_cv_.notify_all();
-  // The caller is worker zero.
-  for (;;) {
-    const std::size_t i = task->next.fetch_add(1, std::memory_order_relaxed);
-    if (i >= n) break;
-    fn(i);
-    task->done.fetch_add(1, std::memory_order_acq_rel);
-  }
-  std::unique_lock<std::mutex> lock(mu_);
-  done_cv_.wait(lock, [&] {
-    return task->done.load(std::memory_order_acquire) == n;
-  });
-  task_ = nullptr;
-}
-
 // ------------------------------------------------- per-segment scanning
 
 namespace {
@@ -205,7 +126,7 @@ void scan_segment(PinnedSegment& pin, const FlowQuery& q,
 // ------------------------------------------------------------ executor
 
 QueryResult execute_query(StoreSnapshot snapshot, const FlowQuery& q,
-                          ScanPool* pool) {
+                          util::WorkPool* pool) {
   const IndexKind plan = planned_index(q);
   // Mutable pins: cold resolution parks loaded segments in them, and
   // parallel tasks each touch a distinct element (race-free).
@@ -256,7 +177,7 @@ QueryResult execute_query(StoreSnapshot snapshot, const FlowQuery& q,
 
 AggregateResult execute_aggregate(StoreSnapshot snapshot,
                                   const FlowQuery& q, GroupBy group_by,
-                                  std::size_t top_k, ScanPool* pool) {
+                                  std::size_t top_k, util::WorkPool* pool) {
   // Aggregation consumes every match; a row limit on the filter query
   // would make group totals depend on scan order, so it is ignored.
   FlowQuery filter = q;

@@ -4,8 +4,6 @@
 #include <cmath>
 #include <sstream>
 
-#include "campuslab/xai/extract.h"
-
 namespace campuslab::xai {
 
 Explanation explain_decision(const ml::DecisionTree& tree,
@@ -68,21 +66,32 @@ TrustReport make_trust_report(const std::string& task_name,
                               const ml::Classifier& teacher,
                               std::size_t teacher_nodes,
                               const ml::DecisionTree& student,
-                              const ml::Dataset& holdout) {
+                              const ml::Dataset& holdout,
+                              util::WorkPool& pool) {
   TrustReport report;
   report.task_name = task_name;
 
-  const auto teacher_cm = ml::evaluate(teacher, holdout);
+  // One teacher pass: its answers score the teacher against the truth
+  // and the student against the teacher (fidelity).
+  const auto teacher_labels = ml::predict_all(teacher, holdout, pool);
+  ml::ConfusionMatrix teacher_cm(holdout.n_classes());
+  ml::ConfusionMatrix student_cm(holdout.n_classes());
+  ml::ConfusionMatrix agreement(holdout.n_classes());
+  for (std::size_t i = 0; i < holdout.n_rows(); ++i) {
+    const int predicted = student.predict(holdout.row(i));
+    teacher_cm.add(holdout.label(i), teacher_labels[i]);
+    student_cm.add(holdout.label(i), predicted);
+    agreement.add(teacher_labels[i], predicted);
+  }
   report.teacher_accuracy = teacher_cm.accuracy();
   report.teacher_f1 = teacher_cm.macro_f1();
   report.teacher_nodes = teacher_nodes;
 
-  const auto student_cm = ml::evaluate(student, holdout);
   report.student_accuracy = student_cm.accuracy();
   report.student_f1 = student_cm.macro_f1();
   report.student_nodes = student.node_count();
   report.student_depth = student.depth();
-  report.fidelity = xai::fidelity(student, teacher, holdout);
+  report.fidelity = agreement.accuracy();
 
   for (const auto& bin : ml::calibration_bins(student, holdout, 10)) {
     if (bin.count < 20) continue;  // too few samples to judge the bin

@@ -3,22 +3,25 @@
 #include <algorithm>
 #include <cassert>
 
+#include "campuslab/ml/metrics.h"
+
 namespace campuslab::xai {
 
 ExtractionResult ModelExtractor::extract(const ml::Classifier& teacher,
-                                         const ml::Dataset& base) const {
+                                         const ml::Dataset& base,
+                                         util::WorkPool& pool) const {
   assert(base.n_rows() > 0);
   Rng rng(config_.seed);
 
   // Teacher-labelled corpus: base rows first, then synthetic jitters.
+  // The rows are drawn serially, so the generator's sequence is fixed;
+  // the teacher then labels them all at once (the 0s are placeholders).
   ml::Dataset corpus(base.feature_names(), base.class_names());
+  corpus.reserve(base.n_rows() + config_.synthetic_samples);
   const auto ranges = base.feature_ranges();
   std::vector<double> x(base.n_features());
 
-  for (std::size_t i = 0; i < base.n_rows(); ++i) {
-    const auto row = base.row(i);
-    corpus.add(row, teacher.predict(row));
-  }
+  for (std::size_t i = 0; i < base.n_rows(); ++i) corpus.add(base.row(i), 0);
   for (std::size_t s = 0; s < config_.synthetic_samples; ++s) {
     const auto anchor = base.row(rng.below(base.n_rows()));
     for (std::size_t f = 0; f < x.size(); ++f) {
@@ -38,16 +41,19 @@ ExtractionResult ModelExtractor::extract(const ml::Classifier& teacher,
       v = std::clamp(v, ranges[f].first, ranges[f].second);
       x[f] = v;
     }
-    corpus.add(x, teacher.predict(x));
+    corpus.add(x, 0);
   }
+  corpus.relabel(ml::predict_all(teacher, corpus, pool));
 
   ml::TreeConfig tc;
   tc.max_depth = config_.student_max_depth;
   tc.min_samples_leaf = config_.min_samples_leaf;
   ExtractionResult result;
   result.student = ml::DecisionTree(tc);
-  result.student.fit(corpus);
-  result.train_fidelity = fidelity(result.student, teacher, corpus);
+  result.student.fit(corpus, nullptr, {}, pool);
+  // The corpus labels are the teacher's answers, so agreement with them
+  // is fidelity(student, teacher, corpus) without a second teacher pass.
+  result.train_fidelity = ml::evaluate(result.student, corpus).accuracy();
   result.samples_used = corpus.n_rows();
   return result;
 }

@@ -66,10 +66,12 @@ struct TrustReport {
   std::string to_string() const;
 };
 
-TrustReport make_trust_report(const std::string& task_name,
-                              const ml::Classifier& teacher,
-                              std::size_t teacher_nodes,
-                              const ml::DecisionTree& student,
-                              const ml::Dataset& holdout);
+/// The teacher labels the holdout once, in parallel over `pool`; its
+/// accuracy and the student's fidelity both come from those labels.
+TrustReport make_trust_report(
+    const std::string& task_name, const ml::Classifier& teacher,
+    std::size_t teacher_nodes, const ml::DecisionTree& student,
+    const ml::Dataset& holdout,
+    util::WorkPool& pool = util::WorkPool::shared());
 
 }  // namespace campuslab::xai

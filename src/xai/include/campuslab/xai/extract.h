@@ -39,8 +39,11 @@ class ModelExtractor {
 
   /// Distill `teacher` into a shallow tree. `base` provides the input
   /// distribution (its labels are ignored; the teacher is the oracle).
-  ExtractionResult extract(const ml::Classifier& teacher,
-                           const ml::Dataset& base) const;
+  /// Labelling and the student's split search spread over `pool`; the
+  /// result is the same at any pool size.
+  ExtractionResult extract(
+      const ml::Classifier& teacher, const ml::Dataset& base,
+      util::WorkPool& pool = util::WorkPool::shared()) const;
 
  private:
   ExtractConfig config_;

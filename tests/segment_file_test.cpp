@@ -349,7 +349,7 @@ TEST(SegmentFile, SpilledStoreMatchesHotStoreBitIdentical) {
   };
   for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
                                     std::size_t{4}}) {
-    ScanPool pool(threads);
+    util::WorkPool pool(threads);
     for (const auto& q : queries) {
       const auto want = hot.query(q, pool);
       const auto got = cold.query(q, pool);

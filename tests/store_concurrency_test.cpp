@@ -117,7 +117,7 @@ TEST(StoreConcurrency, ParallelMatchesSerialOnQuiescedStore) {
   std::mt19937_64 rng(0xC0FFEE);
   for (int i = 0; i < 2000; ++i) store.ingest(random_flow(rng, i * 0.01));
 
-  ScanPool pool(4);
+  util::WorkPool pool(4);
   ASSERT_EQ(pool.threads(), 4u);
   const std::vector<FlowQuery> queries = {
       FlowQuery{},
@@ -297,7 +297,7 @@ TEST(StoreTierConcurrency, ParallelMatchesSerialAcrossTiers) {
   EXPECT_EQ(store.spill(15), 15u);  // ~half the segments go cold
   ASSERT_EQ(store.catalog().cold_segments, 15u);
 
-  ScanPool pool(4);
+  util::WorkPool pool(4);
   const std::vector<FlowQuery> queries = {
       FlowQuery{},
       FlowQuery{}.about_host(kHostA),

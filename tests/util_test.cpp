@@ -4,10 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <atomic>
 #include <cmath>
 #include <set>
 #include <span>
 #include <string_view>
+#include <thread>
 #include <vector>
 
 #include "campuslab/util/bytes.h"
@@ -16,6 +18,7 @@
 #include "campuslab/util/rng.h"
 #include "campuslab/util/stats.h"
 #include "campuslab/util/time.h"
+#include "campuslab/util/work_pool.h"
 
 namespace campuslab {
 namespace {
@@ -388,6 +391,87 @@ TEST(Mix64, AvalanchesHighBits) {
   EXPECT_GT(top_bytes.size(), 32u);
   EXPECT_EQ(util::mix64(12345), util::mix64(12345));
   EXPECT_NE(util::mix64(12345), util::mix64(12346));
+}
+
+// -------------------------------------------------------------- WorkPool
+
+TEST(WorkPool, RunsEveryIndexExactlyOnce) {
+  util::WorkPool pool(4);
+  ASSERT_EQ(pool.threads(), 4u);
+  std::vector<std::atomic<int>> hits(1000);
+  pool.parallel_for(hits.size(), [&](std::size_t i) { ++hits[i]; });
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+  pool.parallel_for(0, [](std::size_t) { FAIL() << "no index to run"; });
+}
+
+TEST(WorkPool, OneThreadRunsInOrderOnTheCaller) {
+  util::WorkPool pool(1);
+  EXPECT_EQ(pool.threads(), 1u);
+  const auto caller = std::this_thread::get_id();
+  std::vector<std::size_t> order;
+  pool.parallel_for(5, [&](std::size_t i) {
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    order.push_back(i);
+  });
+  EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2, 3, 4}));
+}
+
+TEST(WorkPool, NestedParallelForRunsInlineWithoutDeadlock) {
+  util::WorkPool pool(4);
+  std::vector<std::atomic<int>> hits(8 * 16);
+  std::atomic<int> strays{0};
+  pool.parallel_for(8, [&](std::size_t outer) {
+    const auto me = std::this_thread::get_id();
+    // Every worker is busy with the outer job: a nested fan-out that
+    // waited for them would never finish.
+    pool.parallel_for(16, [&](std::size_t inner) {
+      if (std::this_thread::get_id() != me) ++strays;
+      ++hits[outer * 16 + inner];
+    });
+    // Another pool's fan-out from inside a task runs inline too.
+    util::WorkPool::shared().parallel_for(4, [&](std::size_t) {
+      if (std::this_thread::get_id() != me) ++strays;
+    });
+  });
+  EXPECT_EQ(strays.load(), 0);
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
+TEST(WorkPool, SlotsAreHeldByOneTaskAtATime) {
+  util::WorkPool pool(4);
+  constexpr std::size_t kSlots = 3;
+  std::array<std::atomic<bool>, kSlots> busy{};
+  std::vector<std::atomic<int>> hits(2000);
+  std::atomic<int> overlaps{0};
+  pool.parallel_for_slots(hits.size(), kSlots,
+                          [&](std::size_t slot, std::size_t i) {
+                            ASSERT_LT(slot, kSlots);
+                            if (busy[slot].exchange(true)) ++overlaps;
+                            ++hits[i];
+                            busy[slot].store(false);
+                          });
+  EXPECT_EQ(overlaps.load(), 0);
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
+TEST(WorkPool, ConcurrentCallersTakeTurns) {
+  util::WorkPool pool(3);
+  std::atomic<std::uint64_t> total{0};
+  const auto caller = [&] {
+    for (int round = 0; round < 50; ++round)
+      pool.parallel_for(64, [&](std::size_t i) { total += i; });
+  };
+  std::thread a(caller), b(caller);
+  a.join();
+  b.join();
+  EXPECT_EQ(total.load(), 2u * 50u * (63u * 64u / 2u));
+}
+
+TEST(WorkPool, SharedIsOnePoolSizedToTheHost) {
+  auto& pool = util::WorkPool::shared();
+  EXPECT_EQ(&pool, &util::WorkPool::shared());
+  EXPECT_EQ(pool.threads(),
+            std::max(1u, std::thread::hardware_concurrency()));
 }
 
 }  // namespace
